@@ -2,8 +2,7 @@
 //!
 //! The experiment harness: ASCII rendering and legacy sweep machinery for
 //! the figure-regeneration binaries (`fig2`, `fig3`, `table_t1`,
-//! `table_t2`, `table_t3`, `frontier`, `ablations`) and the Criterion
-//! micro-benchmarks under `benches/`.
+//! `table_t2`, `table_t3`, `frontier`, `ablations`).
 //!
 //! The grid definitions themselves are migrating into declarative
 //! `.scenario` files under `scenarios/` driven by the [`scenario`] engine
@@ -25,6 +24,7 @@
 #![warn(missing_docs)]
 
 use adversary::{AdversaryConfig, StrategyKind};
+use scenario::cli::{or_exit, BinArgs};
 use schedulers::RunReport;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -41,31 +41,26 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Parses `std::env::args`, with `default_rounds` for quick mode.
-    /// Full mode uses the paper's 25 000 rounds unless `--rounds` is
-    /// given.
+    /// Parses `std::env::args`, with `default_rounds` for quick mode; on
+    /// bad input prints the error and exits with status 2.
     pub fn parse(default_rounds: u64) -> Opts {
-        let args: Vec<String> = std::env::args().collect();
-        let full = args.iter().any(|a| a == "--full");
-        let mut rounds = if full { 25_000 } else { default_rounds };
-        let mut out = PathBuf::from("results");
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--rounds" => {
-                    if let Some(v) = it.next() {
-                        rounds = v.parse().expect("--rounds takes an integer");
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = it.next() {
-                        out = PathBuf::from(v);
-                    }
-                }
-                _ => {}
-            }
-        }
-        Opts { full, rounds, out }
+        or_exit(Opts::parse_from(std::env::args().skip(1), default_rounds))
+    }
+
+    /// Parses `args` (without the program name) with the scenario
+    /// binaries' parser. Full mode uses the paper's 25 000 rounds unless
+    /// `--rounds` is given; unknown flags are ignored.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_rounds: u64,
+    ) -> Result<Opts, String> {
+        let args = BinArgs::parse_from(args)?;
+        let quick = if args.full { 25_000 } else { default_rounds };
+        Ok(Opts {
+            full: args.full,
+            rounds: args.rounds.unwrap_or(quick),
+            out: args.out,
+        })
     }
 
     /// The ρ grid for the figures.
@@ -249,6 +244,42 @@ mod tests {
         assert_eq!(s.matches("rho").count(), 2);
         let t = ascii_table("q", &cells, |c| c.report.avg_queue_per_shard);
         assert!(t.contains("b=200"));
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn opts_defaults() {
+        let o = Opts::parse_from(args(&[]), 6_000).unwrap();
+        assert!(!o.full);
+        assert_eq!(o.rounds, 6_000);
+        assert_eq!(o.out, PathBuf::from("results"));
+        let o = Opts::parse_from(args(&["--full", "--out", "x"]), 6_000).unwrap();
+        assert!(o.full);
+        assert_eq!(o.rounds, 25_000);
+        assert_eq!(o.out, PathBuf::from("x"));
+        let o = Opts::parse_from(args(&["--full", "--rounds", "300"]), 6_000).unwrap();
+        assert_eq!(o.rounds, 300, "explicit --rounds wins over --full");
+    }
+
+    #[test]
+    fn opts_reject_a_bad_integer() {
+        let e = Opts::parse_from(args(&["--rounds", "abc"]), 6_000).unwrap_err();
+        assert!(
+            e.contains("--rounds takes an integer") && e.contains("abc"),
+            "{e}"
+        );
+        assert!(Opts::parse_from(args(&["--rounds", "-3"]), 6_000).is_err());
+    }
+
+    #[test]
+    fn opts_reject_a_missing_value() {
+        let e = Opts::parse_from(args(&["--rounds"]), 6_000).unwrap_err();
+        assert!(e.contains("--rounds needs a value"), "{e}");
+        let e = Opts::parse_from(args(&["--full", "--out"]), 6_000).unwrap_err();
+        assert!(e.contains("--out needs a value"), "{e}");
     }
 
     #[test]

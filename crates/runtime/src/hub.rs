@@ -313,6 +313,11 @@ impl<'h, P> ShardPort<'h, P> {
 }
 
 impl<'h, P: Clone> ShardPort<'h, P> {
+    /// Rounds until a message sent now reaches `to`: `max(1, d(from, to))`.
+    pub fn delay(&self, to: ShardId) -> u64 {
+        self.delay[to.index()]
+    }
+
     /// Sends `payload` to `to` at round `now`, honoring metric delay and
     /// the link's fault stream. Sequence-number consumption matches
     /// `simnet::Network`: a dropped message still consumes one sequence

@@ -6,15 +6,15 @@
 //! watermark round gate — for both schedulers, over any
 //! [`cluster::ShardMetric`].
 //!
-//! The simulators in `schedulers` drive all shards from one loop with an
-//! omniscient view; this crate is the opposite discipline — each shard
-//! owns only shard-local state, exchanging protocol
-//! messages through the [`hub::NetHub`] delay queues. BDS epoch lengths
-//! are learned from the leader's broadcast plan (the simulator sends the
-//! identical broadcast), FDS schedules are pure functions of round
-//! number and the shared hierarchy, and delivery order is pinned by
-//! per-sender sequence numbers — so a fault-free networked run produces
-//! a `RunReport` **byte-identical** to the simulator's for the same
+//! The protocols themselves are not here: each is written once, as the
+//! per-shard state machines of `schedulers::node` (`BdsNode`, `FdsNode`),
+//! which the simulators step from one loop. This crate is the other
+//! transport for the same nodes ([`net`]) — each shard's node runs in
+//! its own slot, owns only shard-local state, and exchanges messages
+//! through the [`hub::NetHub`] rings. Delivery order is pinned by
+//! per-sender sequence numbers and commit events are replayed in the
+//! simulator's order, so a fault-free networked run produces a
+//! `RunReport` **byte-identical** to the simulator's for the same
 //! inputs. `tests/differential.rs` enforces that equality field by
 //! field, including the floating-point latency and queue means.
 //!
@@ -41,8 +41,7 @@
 //!
 //! Scenario files select this engine with `engine = net` (see
 //! [`EngineKind`]); `blockshard run` then routes jobs through
-//! [`run_net_bds`] / [`run_net_sched`] / [`run_net_fds`] instead of
-//! the simulators.
+//! [`run_net`] instead of the simulators.
 //!
 //! `unsafe` is denied crate-wide with one audited exception: the slot
 //! array of the SPSC ring in [`ring`], whose ownership protocol is
@@ -55,16 +54,12 @@
 pub mod engine;
 pub mod exec;
 pub mod hub;
-pub mod netbds;
-pub mod netfds;
+pub mod net;
 pub mod ring;
 pub mod sync;
 
 pub use engine::EngineKind;
 pub use exec::run_lockstep;
 pub use hub::{HubError, NetEnvelope, NetHub, NetInbox, ShardPort};
-pub use netbds::{
-    run_net_bds, run_net_sched, run_net_sched_from, run_net_sched_reshard, NetOutcome,
-};
-pub use netfds::run_net_fds;
+pub use net::{run_net, run_net_sched, NetOutcome, NetRun, Protocol};
 pub use sync::RoundGate;

@@ -18,7 +18,7 @@
 use adversary::{Adversary, AdversaryConfig, ReshardSource, RoundSource, StrategyKind};
 use cluster::UniformMetric;
 use conflict::ColoringStrategy;
-use runtime::{run_net_sched, run_net_sched_reshard, NetOutcome};
+use runtime::{run_net, run_net_sched, NetOutcome, NetRun, Protocol};
 use schedulers::bds::{BdsConfig, BdsSim};
 use schedulers::driver::drive;
 use schedulers::testkit::report_fingerprint;
@@ -135,18 +135,19 @@ fn reshard_net_reports_match_the_simulator_for_every_hosted_kind() {
     let bcfg = BdsConfig::default();
     for kind in epoch_hosted_kinds() {
         let mut src = ReshardSource::new(Adversary::new(&src_sys, &map, adv), plan.clone());
-        let net = run_net_sched_reshard(
-            &sys,
-            &map,
+        let net = run_net(
+            &NetRun {
+                sys: &sys,
+                map: &map,
+                rounds,
+                metric: &metric,
+                protocol: Protocol::EpochHosted(kind, bcfg),
+                faults: &FaultPlan::default(),
+                workers: sys.shards,
+                metrics: false,
+                reshard: Some(&plan),
+            },
             &mut src,
-            rounds,
-            &metric,
-            bcfg,
-            &FaultPlan::default(),
-            kind,
-            sys.shards,
-            false,
-            &plan,
         );
         assert!(net.chains_verified, "{kind}: chain verification failed");
         assert_eq!(
@@ -183,18 +184,19 @@ fn reshard_worker_count_never_changes_the_bytes() {
         .into_iter()
         .map(|workers| {
             let mut src = ReshardSource::new(Adversary::new(&src_sys, &map, adv), plan.clone());
-            run_net_sched_reshard(
-                &sys,
-                &map,
+            run_net(
+                &NetRun {
+                    sys: &sys,
+                    map: &map,
+                    rounds,
+                    metric: &metric,
+                    protocol: Protocol::EpochHosted(SchedulerKind::Bds, bcfg),
+                    faults: &FaultPlan::default(),
+                    workers,
+                    metrics: false,
+                    reshard: Some(&plan),
+                },
                 &mut src,
-                rounds,
-                &metric,
-                bcfg,
-                &FaultPlan::default(),
-                SchedulerKind::Bds,
-                workers,
-                false,
-                &plan,
             )
         })
         .collect();

@@ -7,12 +7,36 @@
 
 use adversary::{Adversary, AdversaryConfig, StrategyKind};
 use cluster::{GridMetric, LineMetric, RingMetric, ShardMetric, UniformMetric};
-use runtime::{run_net_bds, run_net_fds, NetOutcome};
+use runtime::{run_net, NetOutcome, NetRun, Protocol};
 use schedulers::bds::{BdsConfig, BdsSim};
 use schedulers::fds::{FdsConfig, FdsSim};
-use schedulers::RunReport;
+use schedulers::{RunReport, SchedulerKind};
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, TxnId};
 use simnet::FaultPlan;
+
+/// A networked run of `protocol` with one worker per shard.
+fn net_run(
+    sys: &SystemConfig,
+    map: &AccountMap,
+    adv: &AdversaryConfig,
+    rounds: Round,
+    metric: &dyn ShardMetric,
+    protocol: Protocol,
+    faults: &FaultPlan,
+) -> NetOutcome {
+    let run = NetRun {
+        sys,
+        map,
+        rounds,
+        metric,
+        protocol,
+        faults,
+        workers: sys.shards,
+        metrics: false,
+        reshard: None,
+    };
+    run_net(&run, &mut Adversary::new(sys, map, *adv))
+}
 
 fn system(shards: usize, k: usize) -> (SystemConfig, AccountMap) {
     let sys = SystemConfig {
@@ -122,13 +146,13 @@ fn net_bds(
     rounds: u64,
     metric: &dyn ShardMetric,
 ) -> NetOutcome {
-    run_net_bds(
+    net_run(
         sys,
         map,
         adv,
         Round(rounds),
         metric,
-        BdsConfig::default(),
+        Protocol::EpochHosted(SchedulerKind::Bds, BdsConfig::default()),
         &FaultPlan::default(),
     )
 }
@@ -192,15 +216,14 @@ fn fds_matches_simulator_on_line_and_uniform() {
         ("ring", Box::new(RingMetric::new(8))),
     ];
     for (name, metric) in &metrics {
-        let net = run_net_fds(
+        let net = net_run(
             &sys,
             &map,
             &adv,
             Round(1500),
             metric.as_ref(),
-            FdsConfig::default(),
+            Protocol::Fds(FdsConfig::default()),
             &FaultPlan::default(),
-            false,
         );
         let (sim, sim_log) = sim_fds(&sys, &map, &adv, 1500, metric.as_ref());
         assert!(sim.committed > 0, "fds/{name}: non-trivial");
@@ -221,15 +244,14 @@ fn fds_mirror_holds_under_bursty_and_rescheduling_workloads() {
         ..Default::default()
     };
     let metric = LineMetric::new(12);
-    let net = run_net_fds(
+    let net = net_run(
         &sys,
         &map,
         &adv,
         Round(2000),
         &metric,
-        FdsConfig::default(),
+        Protocol::Fds(FdsConfig::default()),
         &FaultPlan::default(),
-        false,
     );
     let (sim, _) = sim_fds(&sys, &map, &adv, 2000, &metric);
     assert_reports_identical(&net.report, &sim, "fds/burst");
@@ -249,22 +271,22 @@ fn networked_runs_are_deterministic_with_and_without_faults() {
         ..FaultPlan::default()
     };
     for plan in [FaultPlan::default(), faulty] {
-        let a = run_net_bds(
+        let a = net_run(
             &sys,
             &map,
             &adv,
             Round(700),
             &metric,
-            BdsConfig::default(),
+            Protocol::EpochHosted(SchedulerKind::Bds, BdsConfig::default()),
             &plan,
         );
-        let b = run_net_bds(
+        let b = net_run(
             &sys,
             &map,
             &adv,
             Round(700),
             &metric,
-            BdsConfig::default(),
+            Protocol::EpochHosted(SchedulerKind::Bds, BdsConfig::default()),
             &plan,
         );
         assert_eq!(a.report.summary(), b.report.summary());
@@ -279,13 +301,13 @@ fn crash_fault_stalls_progress_and_is_counted() {
     let adv = adversary(43);
     let metric = UniformMetric::new(8);
     let healthy = net_bds(&sys, &map, &adv, 800, &metric);
-    let crashed = run_net_bds(
+    let crashed = net_run(
         &sys,
         &map,
         &adv,
         Round(800),
         &metric,
-        BdsConfig::default(),
+        Protocol::EpochHosted(SchedulerKind::Bds, BdsConfig::default()),
         &FaultPlan {
             crashes: vec![(ShardId(0), Round(100))],
             ..FaultPlan::default()
@@ -309,13 +331,13 @@ fn message_drops_strand_transactions_not_the_run() {
     let (sys, map) = system(8, 3);
     let adv = adversary(47);
     let metric = UniformMetric::new(8);
-    let lossy = run_net_bds(
+    let lossy = net_run(
         &sys,
         &map,
         &adv,
         Round(900),
         &metric,
-        BdsConfig::default(),
+        Protocol::EpochHosted(SchedulerKind::Bds, BdsConfig::default()),
         &FaultPlan {
             seed: 3,
             drop_prob: 0.05,
@@ -338,13 +360,13 @@ fn byzantine_votes_are_flipped_but_harmless() {
     let adv = adversary(53);
     let metric = UniformMetric::new(8);
     let clean = net_bds(&sys, &map, &adv, 600, &metric);
-    let byz = run_net_bds(
+    let byz = net_run(
         &sys,
         &map,
         &adv,
         Round(600),
         &metric,
-        BdsConfig::default(),
+        Protocol::EpochHosted(SchedulerKind::Bds, BdsConfig::default()),
         &FaultPlan {
             byz_votes: 1,
             ..FaultPlan::default()
@@ -369,25 +391,23 @@ fn fds_faults_are_deterministic_and_counted() {
         byz_votes: 1,
         ..FaultPlan::default()
     };
-    let a = run_net_fds(
+    let a = net_run(
         &sys,
         &map,
         &adv,
         Round(1200),
         &metric,
-        FdsConfig::default(),
+        Protocol::Fds(FdsConfig::default()),
         &plan,
-        false,
     );
-    let b = run_net_fds(
+    let b = net_run(
         &sys,
         &map,
         &adv,
         Round(1200),
         &metric,
-        FdsConfig::default(),
+        Protocol::Fds(FdsConfig::default()),
         &plan,
-        false,
     );
     assert_eq!(a.report.summary(), b.report.summary());
     assert_eq!(a.report.faults, b.report.faults);
@@ -573,8 +593,6 @@ fn fault_plane_matches_locked_oracle_across_metric_shapes() {
 // migration boundary.
 
 use adversary::{ReshardSource, RoundSource};
-use runtime::run_net_sched_reshard;
-use schedulers::SchedulerKind;
 use sharding_core::ReshardPlan;
 
 fn reshard_fixture(
@@ -635,19 +653,18 @@ fn net_bds_reshard(
     metric: &dyn ShardMetric,
 ) -> NetOutcome {
     let mut src = ReshardSource::new(Adversary::new(src_sys, map, *adv), plan.clone());
-    run_net_sched_reshard(
+    let run = NetRun {
         sys,
         map,
-        &mut src,
-        Round(rounds),
+        rounds: Round(rounds),
         metric,
-        BdsConfig::default(),
-        &FaultPlan::default(),
-        SchedulerKind::Bds,
-        sys.shards,
-        false,
-        plan,
-    )
+        protocol: Protocol::EpochHosted(SchedulerKind::Bds, BdsConfig::default()),
+        faults: &FaultPlan::default(),
+        workers: sys.shards,
+        metrics: false,
+        reshard: Some(plan),
+    };
+    run_net(&run, &mut src)
 }
 
 #[test]

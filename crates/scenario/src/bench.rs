@@ -33,6 +33,7 @@ use adversary::{
 use cluster::{LineMetric, UniformMetric};
 use schedulers::bds::{BdsConfig, BdsSim};
 use schedulers::fds::{FdsConfig, FdsSim};
+use schedulers::{NodeSim, ProtocolNode, SchedulerKind};
 use sharding_core::{AccountMap, ReshardPlan, Round, SystemConfig, Transaction};
 use simnet::FaultPlan;
 use std::path::{Path, PathBuf};
@@ -347,49 +348,44 @@ fn micro_fixtures(opts: &BenchOpts) -> Vec<MicroFixture> {
 }
 
 impl MicroFixture {
+    /// Steps every pre-generated batch through `sim`; returns the elapsed
+    /// ns over the step loop and the simulator.
+    fn time_steps<N: ProtocolNode>(&self, mut sim: NodeSim<N>) -> (u64, NodeSim<N>) {
+        let start = Instant::now();
+        for batch in &self.batches {
+            sim.step(batch.clone());
+        }
+        (start.elapsed().as_nanos() as u64, sim)
+    }
+
     /// One full iteration: build the simulator, step every pre-generated
     /// batch, and return (elapsed ns over the step loop, generated,
     /// committed).
     fn run_once(&self) -> (u64, u64, u64) {
-        match self.scheduler {
+        let bds = || BdsSim::new(&self.sys, &self.map, BdsConfig::default());
+        let (ns, r) = match self.scheduler {
             MicroScheduler::Bds => {
-                let mut sim = BdsSim::new(&self.sys, &self.map, BdsConfig::default());
-                let start = Instant::now();
-                for batch in &self.batches {
-                    sim.step(batch.clone());
-                }
-                let ns = start.elapsed().as_nanos() as u64;
-                let r = sim.finish();
-                (ns, r.generated, r.committed)
+                let (ns, sim) = self.time_steps(bds());
+                (ns, sim.finish())
             }
             MicroScheduler::Reshard(ref plan) => {
-                let mut sim = BdsSim::new(&self.sys, &self.map, BdsConfig::default());
+                let mut sim = bds();
                 sim.set_reshard(plan.clone());
-                let start = Instant::now();
-                for batch in &self.batches {
-                    sim.step(batch.clone());
-                }
-                let ns = start.elapsed().as_nanos() as u64;
+                let (ns, sim) = self.time_steps(sim);
                 let audit = sim.reshard_audit();
                 assert_eq!(audit, (0, 0), "reshard bench fixture lost/doubled txns");
-                let r = sim.finish();
-                (ns, r.generated, r.committed)
+                (ns, sim.finish())
             }
             MicroScheduler::Fds => {
                 let metric = LineMetric::new(self.sys.shards);
-                let mut sim = FdsSim::new(&self.sys, &self.map, FdsConfig::default(), &metric);
-                let start = Instant::now();
-                for batch in &self.batches {
-                    sim.step(batch.clone());
-                }
-                let ns = start.elapsed().as_nanos() as u64;
-                let r = sim.finish();
-                (ns, r.generated, r.committed)
+                let sim = FdsSim::new(&self.sys, &self.map, FdsConfig::default(), &metric);
+                let (ns, sim) = self.time_steps(sim);
+                (ns, sim.finish())
             }
             MicroScheduler::NetBds => {
                 let metric = UniformMetric::new(self.sys.shards);
                 let start = Instant::now();
-                let out = runtime::run_net_bds(
+                let out = runtime::run_net_sched(
                     &self.sys,
                     &self.map,
                     &micro_adversary(13),
@@ -397,11 +393,14 @@ impl MicroFixture {
                     &metric,
                     BdsConfig::default(),
                     &FaultPlan::default(),
+                    SchedulerKind::Bds,
+                    self.sys.shards,
+                    false,
                 );
-                let ns = start.elapsed().as_nanos() as u64;
-                (ns, out.report.generated, out.report.committed)
+                (start.elapsed().as_nanos() as u64, out.report)
             }
-        }
+        };
+        (ns, r.generated, r.committed)
     }
 }
 

@@ -79,10 +79,26 @@ pub struct BinArgs {
 }
 
 impl BinArgs {
-    /// Parses `std::env::args` (unknown flags are ignored, like the old
-    /// per-binary parsers did).
+    /// Parses `std::env::args`; on bad input prints the error and exits
+    /// with status 2.
     pub fn parse() -> BinArgs {
-        let args: Vec<String> = std::env::args().collect();
+        or_exit(BinArgs::parse_from(std::env::args().skip(1)))
+    }
+
+    /// Parses `args` (without the program name); unknown flags are
+    /// ignored.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<BinArgs, String> {
+        fn value<'a>(
+            it: &mut impl Iterator<Item = &'a String>,
+            flag: &str,
+        ) -> Result<&'a String, String> {
+            it.next().ok_or_else(|| format!("{flag} needs a value"))
+        }
+        fn int<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
+            v.parse()
+                .map_err(|_| format!("{flag} takes an integer, got `{v}`"))
+        }
+        let args: Vec<String> = args.into_iter().collect();
         let mut out = BinArgs {
             full: args.iter().any(|a| a == "--full"),
             rounds: None,
@@ -92,25 +108,13 @@ impl BinArgs {
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--rounds" => {
-                    if let Some(v) = it.next() {
-                        out.rounds = Some(v.parse().expect("--rounds takes an integer"));
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = it.next() {
-                        out.out = PathBuf::from(v);
-                    }
-                }
-                "--threads" => {
-                    if let Some(v) = it.next() {
-                        out.threads = v.parse().expect("--threads takes an integer");
-                    }
-                }
+                "--rounds" => out.rounds = Some(int(value(&mut it, a)?, a)?),
+                "--out" => out.out = PathBuf::from(value(&mut it, a)?),
+                "--threads" => out.threads = int(value(&mut it, a)?, a)?,
                 _ => {}
             }
         }
-        out
+        Ok(out)
     }
 
     /// The engine overrides this argument set implies. Binaries whose
@@ -133,13 +137,7 @@ impl BinArgs {
 
     /// Runs a scenario through the engine with this argument set.
     pub fn execute(&self, scenario: &Scenario) -> Vec<JobOutcome> {
-        let jobs = match scenario.jobs_with(&self.sets()) {
-            Ok(jobs) => jobs,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
+        let jobs = or_exit(scenario.jobs_with(&self.sets()));
         let threads = if self.threads == 0 {
             default_threads(jobs.len())
         } else {
@@ -151,13 +149,16 @@ impl BinArgs {
 
 /// Loads a scenario file or exits with a readable error (binary helper).
 pub fn load_or_exit(path: &Path) -> Scenario {
-    match Scenario::load(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+    or_exit(Scenario::load(path))
+}
+
+/// Unwraps `result`, or prints the error and exits with status 2
+/// (binary helper).
+pub fn or_exit<T>(result: Result<T, impl std::fmt::Display>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 #[derive(Debug)]

@@ -9,14 +9,13 @@
 
 use crate::spec::JobSpec;
 use adversary::{Adversary, MempoolStats, ReshardSource, RoundSource};
-use runtime::{run_net_fds, run_net_sched, run_net_sched_from, run_net_sched_reshard, EngineKind};
+use runtime::{run_net, EngineKind, NetRun, Protocol};
 use schedulers::baseline::{FcfsConfig, FcfsSim};
 use schedulers::bds::{BdsConfig, BdsSim};
-use schedulers::driver::{drive, drive_with};
 use schedulers::fds::{FdsConfig, FdsSim};
 use schedulers::history::check_cross_shard_order;
 use schedulers::{RunReport, SchedulerKind};
-use sharding_core::{Round, SystemConfig};
+use sharding_core::{AccountMap, ReshardPlan, Round, SystemConfig, Transaction, TxnId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -40,25 +39,27 @@ pub struct JobOutcome {
     pub reshard: Option<(u64, u64)>,
 }
 
-/// The workload source for a reshard job: the inner producer is built
-/// against the *initial* active shard count (only active shards own
-/// accounts at round 0), then wrapped so homes and groupings follow the
-/// plan's live placement version.
-fn reshard_source(spec: &JobSpec, sys: &SystemConfig) -> Box<dyn RoundSource> {
-    let plan = spec
-        .reshard_plan()
-        .expect("caller checked the schedule is non-empty");
-    let src_sys = SystemConfig {
+/// The workload a job drains: the streaming ingest pipeline for mempool
+/// jobs, the per-round adversary otherwise. A reshard job's producer is
+/// built against the *initial* active shard count (only active shards
+/// own accounts at round 0), then wrapped so homes and groupings follow
+/// the plan's live placement version.
+fn job_source(
+    spec: &JobSpec,
+    sys: &SystemConfig,
+    map: &AccountMap,
+    plan: Option<ReshardPlan>,
+) -> Box<dyn RoundSource> {
+    let sys = SystemConfig {
         shards: spec.shards,
         ..sys.clone()
     };
-    let map = spec.account_map();
-    match spec.ingest_pipeline(&src_sys, &map) {
-        Some(pipeline) => Box::new(ReshardSource::new(pipeline, plan)),
-        None => Box::new(ReshardSource::new(
-            Adversary::new(&src_sys, &map, spec.adversary_config()),
-            plan,
-        )),
+    let adversary = || Adversary::new(&sys, map, spec.adversary_config());
+    match (spec.ingest_pipeline(&sys, map), plan) {
+        (Some(pipeline), Some(plan)) => Box::new(ReshardSource::new(pipeline, plan)),
+        (None, Some(plan)) => Box::new(ReshardSource::new(adversary(), plan)),
+        (Some(pipeline), None) => Box::new(pipeline),
+        (None, None) => Box::new(adversary()),
     }
 }
 
@@ -83,169 +84,104 @@ fn fds_config(spec: &JobSpec) -> FdsConfig {
     }
 }
 
+/// Feeds the job's rounds from `source` into `step`. Returns every
+/// transaction generated when the spec asks for the order check (empty
+/// otherwise).
+fn feed(
+    spec: &JobSpec,
+    source: &mut dyn RoundSource,
+    mut step: impl FnMut(Vec<Transaction>),
+) -> BTreeMap<TxnId, Transaction> {
+    let mut all = BTreeMap::new();
+    for r in 0..spec.rounds {
+        let batch = source.next_round(Round(r));
+        if spec.check_order {
+            all.extend(batch.iter().map(|t| (t.id, t.clone())));
+        }
+        step(batch);
+    }
+    all
+}
+
 /// Runs one job to completion on the calling thread. Jobs with
-/// `engine = net` route through the thread-per-shard networked runtime
-/// (which spawns one thread per shard for the duration of the job);
-/// everything else runs the shared-memory simulators.
+/// `engine = net` route through the networked runtime (one executor
+/// thread per shard for the duration of the job); everything else runs
+/// the shared-memory simulators. Both drain the same workload source.
 pub fn run_job(spec: &JobSpec) -> JobOutcome {
     let sys = spec.system_config();
     let map = spec.account_map();
-    let adv = spec.adversary_config();
     // Reshard jobs provision the metric for the schedule's maximum
     // shard count (`sys.shards` == the plan's `s_max`).
     let metric = spec
         .metric
         .build(sys.shards)
         .expect("spec validated at plan time");
-    let rounds = Round(spec.rounds);
-    if spec.engine == EngineKind::Net {
-        let faults = spec.fault_plan();
-        let (report, mempool, reshard) = match spec.scheduler {
-            SchedulerKind::Fds => (
-                run_net_fds(
-                    &sys,
-                    &map,
-                    &adv,
-                    rounds,
-                    metric.as_ref(),
-                    fds_config(spec),
-                    &faults,
-                    spec.metrics.enabled(),
-                )
-                .report,
-                None,
-                None,
-            ),
+    let metrics = spec.metrics.enabled();
+    let plan = spec.reshard_plan();
+    let mut source = job_source(spec, &sys, &map, plan.clone());
+    let (report, violations, reshard) = if spec.engine == EngineKind::Net {
+        let protocol = match spec.scheduler {
+            SchedulerKind::Fds => Protocol::Fds(fds_config(spec)),
             SchedulerKind::Fcfs => unreachable!("rejected at plan time"),
             // BDS proper and every zoo policy share the epoch host.
+            kind => Protocol::EpochHosted(kind, bds_config(spec)),
+        };
+        let run = NetRun {
+            sys: &sys,
+            map: &map,
+            rounds: Round(spec.rounds),
+            metric: metric.as_ref(),
+            protocol,
+            faults: &spec.fault_plan(),
+            workers: sys.shards,
+            metrics,
+            reshard: plan.as_ref(),
+        };
+        let out = run_net(&run, source.as_mut());
+        (out.report, None, out.reshard_audit)
+    } else {
+        match spec.scheduler {
+            SchedulerKind::Fds => {
+                let mut sim = FdsSim::new(&sys, &map, fds_config(spec), metric.as_ref());
+                if metrics {
+                    sim.enable_metrics();
+                }
+                let all = feed(spec, source.as_mut(), |batch| sim.step(batch));
+                let violations = spec
+                    .check_order
+                    .then(|| check_cross_shard_order(sim.chains(), &all).len() as u64);
+                (sim.finish(), violations, None)
+            }
+            SchedulerKind::Fcfs => {
+                let fcfg = FcfsConfig {
+                    respect_capacity: spec.respect_capacity,
+                };
+                let mut sim = FcfsSim::new(&sys, fcfg);
+                if metrics {
+                    sim.enable_metrics();
+                }
+                feed(spec, source.as_mut(), |batch| sim.step(batch));
+                (sim.finish(), None, None)
+            }
+            // BDS proper and every zoo policy share the epoch host; the
+            // factory is the single registration point.
             kind => {
-                if let Some(plan) = spec.reshard_plan() {
-                    let mut source = reshard_source(spec, &sys);
-                    let out = run_net_sched_reshard(
-                        &sys,
-                        &map,
-                        source.as_mut(),
-                        rounds,
-                        metric.as_ref(),
-                        bds_config(spec),
-                        &faults,
-                        kind,
-                        sys.shards,
-                        spec.metrics.enabled(),
-                        &plan,
-                    );
-                    (out.report, source.stats(), out.reshard_audit)
-                } else if let Some(mut pipeline) = spec.ingest_pipeline(&sys, &map) {
-                    // Firehose: the networked engine pre-drains the same
-                    // stream the simulator drains live, so reports stay
-                    // byte-identical across engines.
-                    let report = run_net_sched_from(
-                        &sys,
-                        &map,
-                        &mut pipeline,
-                        rounds,
-                        metric.as_ref(),
-                        bds_config(spec),
-                        &faults,
-                        kind,
-                        spec.shards,
-                        spec.metrics.enabled(),
-                    )
-                    .report;
-                    (report, pipeline.stats(), None)
-                } else {
-                    let report = run_net_sched(
-                        &sys,
-                        &map,
-                        &adv,
-                        rounds,
-                        metric.as_ref(),
-                        bds_config(spec),
-                        &faults,
-                        kind,
-                        spec.shards,
-                        spec.metrics.enabled(),
-                    )
-                    .report;
-                    (report, None, None)
-                }
-            }
-        };
-        return JobOutcome {
-            spec: spec.clone(),
-            report,
-            violations: None,
-            mempool,
-            reshard,
-        };
-    }
-    let (report, violations, mempool, reshard) = match spec.scheduler {
-        SchedulerKind::Fds => {
-            let fcfg = fds_config(spec);
-            if spec.check_order {
-                // Drive the simulator by hand so the full transaction set
-                // is available to the order checker afterwards.
-                let mut sim = FdsSim::new(&sys, &map, fcfg, metric.as_ref());
-                if spec.metrics.enabled() {
+                let bcfg = bds_config(spec);
+                let policy = kind
+                    .epoch_policy(bcfg.coloring, sys.accounts, sys.shards)
+                    .expect("non-policy kinds have explicit arms above");
+                let mut sim = BdsSim::with_policy(&sys, &map, bcfg, metric.as_ref(), policy);
+                if metrics {
                     sim.enable_metrics();
                 }
-                let mut adversary = Adversary::new(&sys, &map, adv);
-                let mut all = BTreeMap::new();
-                for r in 0..spec.rounds {
-                    let batch = adversary.generate(Round(r));
-                    for t in &batch {
-                        all.insert(t.id, t.clone());
-                    }
-                    sim.step(batch);
+                if let Some(plan) = &plan {
+                    sim.set_reshard(plan.clone());
                 }
-                let violations = check_cross_shard_order(sim.chains(), &all).len() as u64;
-                (sim.finish(), Some(violations), None, None)
-            } else {
-                let mut sim = FdsSim::new(&sys, &map, fcfg, metric.as_ref());
-                if spec.metrics.enabled() {
-                    sim.enable_metrics();
-                }
-                (drive(sim, &sys, &map, &adv, rounds), None, None, None)
-            }
-        }
-        SchedulerKind::Fcfs => {
-            let fcfg = FcfsConfig {
-                respect_capacity: spec.respect_capacity,
-            };
-            let mut sim = FcfsSim::new(&sys, fcfg);
-            if spec.metrics.enabled() {
-                sim.enable_metrics();
-            }
-            (drive(sim, &sys, &map, &adv, rounds), None, None, None)
-        }
-        // BDS proper and every zoo policy share the epoch host; the
-        // factory is the single registration point (`run_bds_with_metric`
-        // is exactly `with_policy` + the Bds coloring policy).
-        kind => {
-            let bcfg = bds_config(spec);
-            let policy = kind
-                .epoch_policy(bcfg.coloring, sys.accounts, sys.shards)
-                .expect("non-policy kinds have explicit arms above");
-            let metric_ref = metric.as_ref();
-            let mut sim = BdsSim::with_policy(&sys, &map, bcfg, metric_ref, policy);
-            if spec.metrics.enabled() {
-                sim.enable_metrics();
-            }
-            if let Some(plan) = spec.reshard_plan() {
-                // Hand-driven so the migration audit can run over the
-                // chains before the simulator is consumed.
-                sim.set_reshard(plan);
-                let mut source = reshard_source(spec, &sys);
-                for r in 0..spec.rounds {
-                    sim.step(source.next_round(Round(r)));
-                }
-                let audit = sim.reshard_audit();
-                (sim.finish(), None, source.stats(), Some(audit))
-            } else if let Some(mut pipeline) = spec.ingest_pipeline(&sys, &map) {
-                let report = drive_with(sim, &mut pipeline, rounds);
-                (report, None, pipeline.stats(), None)
-            } else {
-                (drive(sim, &sys, &map, &adv, rounds), None, None, None)
+                feed(spec, source.as_mut(), |batch| sim.step(batch));
+                // The migration audit runs over the chains before the
+                // simulator is consumed.
+                let audit = plan.as_ref().map(|_| sim.reshard_audit());
+                (sim.finish(), None, audit)
             }
         }
     };
@@ -253,7 +189,7 @@ pub fn run_job(spec: &JobSpec) -> JobOutcome {
         spec: spec.clone(),
         report,
         violations,
-        mempool,
+        mempool: source.stats(),
         reshard,
     }
 }

@@ -12,9 +12,7 @@
 //!    color count — to every shard, since without shared memory the
 //!    epoch length must be learned from a message (epochs with nothing
 //!    to schedule broadcast nothing; shards advance after the two
-//!    coordination gaps). The networked engine in `runtime` executes the
-//!    identical plan flow, which is what makes its fault-free reports
-//!    byte-identical to this simulator's.
+//!    coordination gaps).
 //! 3. **Schedule and commit** — color class `z` runs a four-round protocol
 //!    starting at its designated offset: home shards split transactions
 //!    into subtransactions and send them to destination shards (round 1);
@@ -28,10 +26,13 @@
 //! *analyzed* for the uniform model, but running it elsewhere is useful
 //! for the ablation benches).
 //!
-//! All messages travel through [`simnet::Network`], so message counts and
-//! delivery timing are measured, not assumed.
+//! The protocol is written once, as the per-shard [`BdsNode`]. [`BdsSim`]
+//! steps one node per shard over [`simnet::Network`], so message counts
+//! and delivery timing are measured, not assumed; the networked engine in
+//! `runtime` runs the same nodes concurrently (see [`crate::node`]).
 
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::node::{CommitEvent, NodeSim, Outbox, ProtocolNode, ShardIo, VoteTally};
 use crate::scheduler::{ColoringPolicy, Scheduler};
 use adversary::AdversaryConfig;
 use cluster::{ShardMetric, UniformMetric};
@@ -40,8 +41,9 @@ use sharding_core::txn::SubTransaction;
 use sharding_core::{
     AccountId, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction, TxnId,
 };
-use simnet::{LocalChain, Network, ShardLedger};
+use simnet::ShardLedger;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Tunables of the BDS run (the algorithm itself has no free parameters;
 /// these select implementation variants for ablations).
@@ -68,16 +70,14 @@ impl Default for BdsConfig {
 
 /// Messages of the BDS protocol.
 #[derive(Debug, Clone)]
-enum Msg {
-    // (sizes estimated by `msg_bytes` for the O(bs) accounting)
+pub enum Msg {
     /// Phase 1: home shard → leader, all pending transactions.
     TxnInfo(Vec<Transaction>),
     /// Phase 2: leader → **every** shard, that shard's color assignments
     /// (possibly empty) plus the epoch's color count. Broadcast because
     /// without shared memory every shard must learn the epoch length from
-    /// a message — the networked engine depends on exactly this plan, and
-    /// the simulator sends what a deployment would send. Empty epochs
-    /// broadcast nothing; shards advance by the two-gap timeout instead.
+    /// a message. Empty epochs broadcast nothing; shards advance by the
+    /// two-gap timeout instead.
     ColorAssign {
         /// `(txn, color)` for the receiving home shard.
         assignments: Vec<(TxnId, u32)>,
@@ -87,9 +87,19 @@ enum Msg {
     /// Phase 3 round 1: home → destination, subtransaction to validate.
     SubTxn(SubTransaction),
     /// Phase 3 round 2: destination → home, commit/abort vote.
-    Vote { txn: TxnId, commit: bool },
+    Vote {
+        /// The voted transaction.
+        txn: TxnId,
+        /// The destination's validity verdict.
+        commit: bool,
+    },
     /// Phase 3 round 3: home → destination, final decision.
-    Decision { txn: TxnId, commit: bool },
+    Decision {
+        /// The decided transaction.
+        txn: TxnId,
+        /// Commit (`true`) or abort.
+        commit: bool,
+    },
     /// Migration boundary: leader → **every** shard, announcing that the
     /// pre-agreed reshard plan's next table version is now live. The plan
     /// itself is configuration (like the fault plan), so only the version
@@ -106,95 +116,479 @@ enum Msg {
     },
 }
 
-/// Estimated wire size of a BDS message in bytes.
-fn msg_bytes(m: &Msg) -> usize {
-    match m {
-        Msg::TxnInfo(txns) => 16 + txns.iter().map(|t| t.approx_bytes()).sum::<usize>(),
-        Msg::ColorAssign { assignments, .. } => 8 + 12 * assignments.len(),
-        Msg::SubTxn(sub) => sub.approx_bytes(),
-        Msg::Vote { .. } | Msg::Decision { .. } => 17,
-        Msg::TableUpdate { .. } => 12,
-        Msg::Handoff { accounts } => 8 + 16 * accounts.len(),
-    }
-}
-
-/// Live migration state: the precomputed plan plus the version the
-/// engine is currently executing under.
-#[derive(Debug)]
-struct ReshardState {
-    plan: ReshardPlan,
-    cur: usize,
-}
-
 /// Per-transaction state at its home shard during the epoch it is
 /// scheduled in.
 #[derive(Debug)]
 struct EpochEntry {
     txn: Transaction,
-    color: Option<u32>,
-    votes: usize,
-    abort: bool,
+    votes: VoteTally,
     decided: bool,
 }
 
-/// The BDS simulator. Drive it with [`BdsSim::step`] once per round.
-pub struct BdsSim {
-    sys: SystemConfig,
-    bcfg: BdsConfig,
-    net: Network<Msg>,
-    ledgers: Vec<ShardLedger>,
-    chains: Vec<LocalChain>,
-    /// Newly generated transactions waiting for the next epoch, per home
-    /// shard (the paper's "pending transactions queue").
-    injection: Vec<Vec<Transaction>>,
-    /// Transactions being processed in the current epoch, per home shard.
-    /// Decided entries are retired at the epoch boundary, so each map
-    /// holds one epoch's worth of transactions, not the whole run's.
-    epoch_txns: Vec<BTreeMap<TxnId, EpochEntry>>,
-    /// Per home shard, per color: the transactions to dispatch when that
-    /// color's round-group starts. Filled by the `ColorAssign` handler
-    /// (in ascending txn-id order, since assignments per home arrive in
-    /// generation order), drained by `phase3_dispatch` — a dense index
-    /// replacing the former scan over every epoch entry per dispatch.
-    color_groups: Vec<Vec<Vec<TxnId>>>,
-    /// Subtransactions parked at destinations awaiting the decision.
-    parked: Vec<BTreeMap<TxnId, SubTransaction>>,
-    /// Per-destination batch of subtransactions committed this round,
-    /// appended as one block at the end of the round (the paper's
-    /// multiple-transactions-per-block extension).
-    append_buf: Vec<Vec<SubTransaction>>,
-    /// Transactions buffered at the current leader before coloring.
-    leader_buffer: Vec<Transaction>,
+/// One shard of the BDS epoch host: its home queue and epoch set, its
+/// parked subtransactions as a destination, and — in the epochs it
+/// leads — the leader's buffer and plan broadcast. The epoch-planning
+/// step is the [`Scheduler`] handed in through [`ShardIo`], so the same
+/// node hosts BDS proper and every zoo policy.
+pub struct BdsNode {
+    id: ShardId,
+    shards: usize,
+    rotate_leader: bool,
     /// Phase gap: 1 in the uniform model, metric diameter otherwise.
     gap: u64,
-    now: Round,
+    /// Checks the end-of-epoch invariant that only holds without faults.
+    fault_free: bool,
+    /// Pre-agreed reshard schedule (configuration, like the fault plan)
+    /// and this node's current version index. Every node advances at the
+    /// same absolute rollover rounds, so none needs another's table.
+    reshard: Option<Arc<ReshardPlan>>,
+    rv: usize,
+    /// Newly generated transactions waiting for the next epoch (the
+    /// paper's "pending transactions queue").
+    injection: Vec<Transaction>,
+    /// Transactions being processed in the current epoch. Decided entries
+    /// are retired at the epoch boundary, so the map holds one epoch's
+    /// worth of transactions, not the whole run's.
+    epoch_txns: BTreeMap<TxnId, EpochEntry>,
+    /// Per color: the transactions to dispatch when that color's
+    /// round-group starts, filled by the `ColorAssign` handler.
+    color_groups: Vec<Vec<TxnId>>,
+    /// Subtransactions parked here as a destination, awaiting the
+    /// decision.
+    parked: BTreeMap<TxnId, SubTransaction>,
+    /// Subtransactions committed this round, appended as one block at the
+    /// end of the round (the paper's multiple-transactions-per-block
+    /// extension).
+    append_buf: Vec<SubTransaction>,
+    /// Transactions buffered here as the epoch leader before planning.
+    leader_buffer: Vec<Transaction>,
+    now: u64,
     epoch: u64,
-    epoch_start: Round,
-    /// Set when the leader colors; the round the next epoch begins.
-    next_epoch_at: Option<Round>,
-    collector: MetricsCollector,
-    max_epoch_len: u64,
-    committed_log: Vec<(Round, TxnId)>,
-    generated: u64,
-    /// Transactions currently queued for injection (sum of `injection`
-    /// lengths), maintained incrementally so `total_pending` is O(1).
-    injected_pending: u64,
-    /// Undecided in-epoch transactions (sum over `epoch_txns`), likewise
-    /// maintained incrementally.
+    epoch_start: u64,
+    /// Known end of the current epoch: set when this shard plans as the
+    /// leader, or from the broadcast plan on arrival. `None` until then;
+    /// the two-gap timeout covers plan-free (empty) epochs.
+    next_epoch_at: Option<u64>,
+    /// Undecided transactions in `epoch_txns`.
     undecided: u64,
-    /// The epoch-planning policy the leader consults in phase 2. BDS
-    /// proper uses [`ColoringPolicy`]; any other [`Scheduler`] drops in
-    /// via [`BdsSim::with_policy`] and reuses the whole epoch host.
-    policy: Box<dyn Scheduler>,
-    /// Per home shard: assignment list under construction during
-    /// `phase2_color` (reused across epochs to avoid map churn).
-    assign_scratch: Vec<Vec<(TxnId, u32)>>,
-    /// Elastic-resharding state; `None` for static-placement runs
-    /// (which then pay zero overhead and change zero bytes).
-    reshard: Option<ReshardState>,
+    max_epoch_len: u64,
 }
 
-impl BdsSim {
+/// What a [`BdsNode`] reports at the end of a round.
+#[derive(Debug, Clone, Copy)]
+pub struct BdsSample {
+    /// Queued plus undecided transactions homed here.
+    pub pending: u64,
+    /// The node's epoch.
+    pub epoch: u64,
+    /// Active shards under the node's reshard table.
+    pub active: u64,
+}
+
+impl BdsNode {
+    /// One node per shard of `metric`. `fault_free` enables the
+    /// invariant checks that only hold when no message is lost.
+    pub fn system(bcfg: &BdsConfig, metric: &dyn ShardMetric, fault_free: bool) -> Vec<BdsNode> {
+        let shards = metric.shards();
+        (0..shards as u32)
+            .map(|i| BdsNode {
+                id: ShardId(i),
+                shards,
+                rotate_leader: bcfg.rotate_leader,
+                gap: metric.diameter().max(1),
+                fault_free,
+                reshard: None,
+                rv: 0,
+                injection: Vec::new(),
+                epoch_txns: BTreeMap::new(),
+                color_groups: Vec::new(),
+                parked: BTreeMap::new(),
+                append_buf: Vec::new(),
+                leader_buffer: Vec::new(),
+                now: 0,
+                epoch: 0,
+                epoch_start: 0,
+                next_epoch_at: None,
+                undecided: 0,
+                max_epoch_len: 0,
+            })
+            .collect()
+    }
+
+    /// Arms a live-migration schedule (before the first round).
+    pub fn set_reshard(&mut self, plan: Arc<ReshardPlan>) {
+        self.reshard = Some(plan);
+    }
+
+    /// The leader shard of the node's current epoch.
+    pub fn leader(&self) -> ShardId {
+        if self.rotate_leader {
+            ShardId((self.epoch % self.shards as u64) as u32)
+        } else {
+            ShardId(0)
+        }
+    }
+
+    /// The node's current epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Active (vnode-owning) shards under the node's current table: the
+    /// reshard version's active-set size, or every shard for static runs.
+    pub fn active_shards(&self) -> u64 {
+        self.reshard.as_ref().map_or(self.shards as u64, |p| {
+            p.versions[self.rv].active.len() as u64
+        })
+    }
+
+    /// Steps the reshard plan through every version whose activation
+    /// round has passed. Per advanced version the epoch leader broadcasts
+    /// the activation signal, then this node hands off its departing
+    /// account balances (ascending destination).
+    fn advance_reshard<O: Outbox<Msg>>(
+        &mut self,
+        round: u64,
+        ledger: &mut ShardLedger,
+        out: &mut O,
+    ) {
+        let Some(plan) = self.reshard.clone() else {
+            return;
+        };
+        while self.rv + 1 < plan.versions.len() && plan.versions[self.rv + 1].at <= round {
+            let old = self.rv;
+            self.rv += 1;
+            if self.id == self.leader() {
+                for h in 0..self.shards {
+                    out.send(
+                        ShardId(h as u32),
+                        Msg::TableUpdate {
+                            version: self.rv as u32,
+                        },
+                    );
+                }
+            }
+            let mut batches: BTreeMap<ShardId, Vec<(AccountId, u64)>> = BTreeMap::new();
+            for (account, from, to) in plan.moves(old) {
+                if from != self.id {
+                    continue;
+                }
+                let balance = ledger
+                    .remove_account(account)
+                    .expect("migrating account owned by its old shard");
+                batches.entry(to).or_default().push((account, balance));
+            }
+            for (to, accounts) in batches {
+                out.send(to, Msg::Handoff { accounts });
+            }
+        }
+    }
+
+    /// Phase 1: drain the pending queue into the epoch set and forward it
+    /// to the leader.
+    fn phase1_send_pending<O: Outbox<Msg>>(&mut self, out: &mut O) {
+        let mut drained = std::mem::take(&mut self.injection);
+        // Under a reshard plan, rebuild each transaction's shard grouping
+        // against the *current* table: the source may have grouped under
+        // an older version (its version switches at event rounds, the
+        // engine's at migration epoch boundaries). Homes stay as
+        // assigned — accesses are account-based, so conflict coloring is
+        // placement-independent.
+        if let Some(plan) = &self.reshard {
+            let map = &plan.versions[self.rv].map;
+            for t in &mut drained {
+                *t = t.regrouped(map);
+            }
+        }
+        self.undecided += drained.len() as u64;
+        out.send(self.leader(), Msg::TxnInfo(drained.clone()));
+        for t in drained {
+            self.epoch_txns.insert(
+                t.id,
+                EpochEntry {
+                    txn: t,
+                    votes: VoteTally::default(),
+                    decided: false,
+                },
+            );
+        }
+    }
+
+    /// Phase 2 (at the leader): plan the epoch via the policy (BDS
+    /// proper: build the conflict graph and color it), broadcast the plan
+    /// (per-shard assignments + slot count) to every shard, and fix the
+    /// epoch length.
+    fn phase2_plan<O: Outbox<Msg>>(&mut self, policy: &mut dyn Scheduler, out: &mut O) {
+        let txns = std::mem::take(&mut self.leader_buffer);
+        let mut num_colors = 0;
+        if !txns.is_empty() {
+            let plan = policy.plan_epoch(self.epoch, &txns);
+            debug_assert!(
+                plan.is_safe_for(&txns),
+                "{} violated the epoch-plan safety contract",
+                policy.kind()
+            );
+            num_colors = plan.num_slots;
+            // Group assignments by home shard, then broadcast in shard
+            // order: shards with no scheduled transactions still need the
+            // color count to know when the epoch ends.
+            let mut per_home = vec![Vec::new(); self.shards];
+            for (v, t) in txns.iter().enumerate() {
+                per_home[t.home.index()].push((t.id, plan.slot(v)));
+            }
+            for (h, assignments) in per_home.into_iter().enumerate() {
+                out.send(
+                    ShardId(h as u32),
+                    Msg::ColorAssign {
+                        assignments,
+                        num_colors,
+                    },
+                );
+            }
+        }
+        // Epoch length: 2 phase-gaps + 4 phase-gaps per color (paper:
+        // 2 + 4(Δ+1) rounds in the uniform model). An empty epoch is just
+        // the two coordination gaps.
+        self.next_epoch_at = Some(self.epoch_start + self.gap * (2 + 4 * num_colors as u64));
+    }
+
+    /// Phase 3: at round `epoch_start + gap·(2 + 4z)` send the
+    /// subtransactions of the color-`z` transactions, taken from the
+    /// per-color dispatch index built when the assignments arrived.
+    fn phase3_dispatch<O: Outbox<Msg>>(&mut self, out: &mut O) {
+        let elapsed = self.now - self.epoch_start;
+        if elapsed < 2 * self.gap {
+            return;
+        }
+        let offset = elapsed - 2 * self.gap;
+        if !offset.is_multiple_of(4 * self.gap) {
+            return;
+        }
+        let z = (offset / (4 * self.gap)) as usize;
+        let Some(group) = self.color_groups.get_mut(z) else {
+            return;
+        };
+        for txn in std::mem::take(group) {
+            let Some(entry) = self.epoch_txns.get(&txn) else {
+                continue;
+            };
+            if entry.decided {
+                continue;
+            }
+            for sub in &entry.txn.subs {
+                out.send(sub.dest, Msg::SubTxn(sub.clone()));
+            }
+        }
+    }
+
+    fn handle<O: Outbox<Msg>>(&mut self, from: ShardId, msg: Msg, io: &mut ShardIo<'_, O>) {
+        match msg {
+            Msg::TxnInfo(txns) => self.leader_buffer.extend(txns),
+            Msg::ColorAssign {
+                assignments,
+                num_colors,
+            } => {
+                debug_assert!(num_colors > 0, "empty epochs broadcast no plan");
+                self.next_epoch_at =
+                    Some(self.epoch_start + self.gap * (2 + 4 * num_colors as u64));
+                for (txn, color) in assignments {
+                    if self.epoch_txns.contains_key(&txn) {
+                        let z = color as usize;
+                        if self.color_groups.len() <= z {
+                            self.color_groups.resize_with(z + 1, Vec::new);
+                        }
+                        self.color_groups[z].push(txn);
+                    }
+                }
+            }
+            Msg::SubTxn(sub) => {
+                let commit = io.ledger.check(&sub);
+                let txn = sub.txn;
+                self.parked.insert(txn, sub);
+                // The vote goes back to the transaction's home shard.
+                io.out.send(from, Msg::Vote { txn, commit });
+            }
+            Msg::Vote { txn, commit } => {
+                let Some(e) = self.epoch_txns.get_mut(&txn) else {
+                    return;
+                };
+                if e.votes.record(from, commit) < e.txn.shard_count() || e.decided {
+                    return;
+                }
+                e.decided = true;
+                self.undecided -= 1;
+                let commit_all = e.votes.all_commit();
+                for dest in e.txn.shards() {
+                    io.out.send(
+                        dest,
+                        Msg::Decision {
+                            txn,
+                            commit: commit_all,
+                        },
+                    );
+                }
+                // The commit lands when the decision reaches the first
+                // destination.
+                let commit_round = self.now + io.out.delay(e.txn.subs[0].dest);
+                io.events.push(CommitEvent {
+                    round: self.now,
+                    generated: e.txn.generated,
+                    commit_round: Round(commit_round),
+                    txn,
+                    home: self.id,
+                    committed: commit_all,
+                });
+            }
+            Msg::Decision { txn, commit } => {
+                if let Some(sub) = self.parked.remove(&txn) {
+                    if commit {
+                        io.ledger.apply(&sub);
+                        self.append_buf.push(sub);
+                    }
+                }
+            }
+            Msg::TableUpdate { version } => {
+                // The plan is pre-agreed configuration and rollovers are
+                // simultaneous absolute rounds, so the recipient already
+                // switched when the signal arrives; cross-check only.
+                debug_assert_eq!(
+                    version as usize, self.rv,
+                    "table-update version does not match the live table"
+                );
+            }
+            Msg::Handoff { accounts } => {
+                for (account, balance) in accounts {
+                    io.ledger.absorb(account, balance);
+                }
+            }
+        }
+    }
+}
+
+impl ProtocolNode for BdsNode {
+    type Msg = Msg;
+    type Sample = BdsSample;
+
+    fn msg_bytes(m: &Msg) -> usize {
+        match m {
+            Msg::TxnInfo(txns) => 16 + txns.iter().map(|t| t.approx_bytes()).sum::<usize>(),
+            Msg::ColorAssign { assignments, .. } => 8 + 12 * assignments.len(),
+            Msg::SubTxn(sub) => sub.approx_bytes(),
+            Msg::Vote { .. } | Msg::Decision { .. } => 17,
+            Msg::TableUpdate { .. } => 12,
+            Msg::Handoff { accounts } => 8 + 16 * accounts.len(),
+        }
+    }
+
+    fn inject(&mut self, txn: Transaction) {
+        self.injection.push(txn);
+    }
+
+    fn on_round<O: Outbox<Msg>>(
+        &mut self,
+        round: u64,
+        inbox: impl IntoIterator<Item = (ShardId, Msg)>,
+        mut io: ShardIo<'_, O>,
+    ) {
+        self.now = round;
+        // 1. Delivery runs *before* the epoch transition: rollover
+        //    knowledge can only come from messages delivered this round
+        //    (a plan crossing the full diameter lands exactly at the
+        //    earliest possible rollover).
+        for (from, msg) in inbox {
+            self.handle(from, msg, &mut io);
+        }
+
+        // 2. Epoch rollover: the plan fixed the end, or the epoch was
+        //    empty (no plan broadcast) and the two coordination gaps have
+        //    passed.
+        let rollover = self.next_epoch_at == Some(round)
+            || (self.next_epoch_at.is_none() && round == self.epoch_start + 2 * self.gap);
+        if rollover {
+            self.max_epoch_len = self.max_epoch_len.max(round - self.epoch_start);
+            self.epoch += 1;
+            self.epoch_start = round;
+            self.next_epoch_at = None;
+            // Retire the finished epoch's state. The epoch length
+            // `2 + 4·C` gaps covers every color group's full vote
+            // round-trip, so without faults every entry is decided by now.
+            debug_assert!(
+                !self.fault_free || self.epoch_txns.values().all(|e| e.decided),
+                "undecided entry survived its epoch without faults"
+            );
+            self.epoch_txns.retain(|_, e| !e.decided);
+            for g in &mut self.color_groups {
+                g.clear();
+            }
+            // Migration epoch boundary: switch tables before phase 1 so
+            // the new epoch schedules under the new placement. Fault-free
+            // epochs end with the network quiescent, so ownership moves
+            // cannot race in-flight subtransactions.
+            self.advance_reshard(round, io.ledger, io.out);
+        }
+
+        // 3. Phase 1: forward pending transactions to the epoch leader.
+        if round == self.epoch_start && !self.injection.is_empty() {
+            self.phase1_send_pending(io.out);
+        }
+
+        // 4. Phase 2 (leader only), once all phase-1 messages are in.
+        if round == self.epoch_start + self.gap
+            && self.next_epoch_at.is_none()
+            && self.id == self.leader()
+        {
+            self.phase2_plan(io.policy, io.out);
+        }
+
+        // 5. Phase 3: dispatch the color group designated for this round.
+        self.phase3_dispatch(io.out);
+
+        // 6. Seal this round's commits into one block.
+        if !self.append_buf.is_empty() {
+            let batch = std::mem::take(&mut self.append_buf);
+            io.chain.append_block(batch, Round(round));
+        }
+    }
+
+    fn sample(&self, _round: u64) -> BdsSample {
+        BdsSample {
+            pending: self.injection.len() as u64 + self.undecided,
+            epoch: self.epoch,
+            active: self.active_shards(),
+        }
+    }
+
+    fn observe(
+        collector: &mut MetricsCollector,
+        samples: &[BdsSample],
+        byz: u64,
+        crashed: u64,
+    ) -> u64 {
+        let total_pending: u64 = samples.iter().map(|s| s.pending).sum();
+        collector.sample_pending(total_pending);
+        // Without faults every shard observes the same epoch and table at
+        // the same absolute round (both are learned from broadcasts), so
+        // `max` is the system's single view; under faults it reports the
+        // furthest live view.
+        let epoch = samples.iter().map(|s| s.epoch).max().unwrap_or(0);
+        let active = samples.iter().map(|s| s.active).max().unwrap_or(0);
+        collector
+            .sink
+            .on_round(epoch, total_pending, byz, crashed, active);
+        total_pending
+    }
+
+    fn epoch_stats(&self, _rounds: u64) -> (u64, u64) {
+        (self.epoch, self.max_epoch_len)
+    }
+}
+
+/// The BDS simulator: one [`BdsNode`] per shard, stepped in shard order
+/// over one [`simnet::Network`]. Drive it with [`NodeSim::step`] once per
+/// round.
+pub type BdsSim = NodeSim<BdsNode>;
+
+impl NodeSim<BdsNode> {
     /// Creates a BDS simulation over the uniform metric.
     pub fn new(sys: &SystemConfig, map: &AccountMap, bcfg: BdsConfig) -> Self {
         Self::with_metric(sys, map, bcfg, &UniformMetric::new(sys.shards))
@@ -227,38 +621,8 @@ impl BdsSim {
     ) -> Self {
         sys.validate().expect("valid system config");
         assert_eq!(metric.shards(), sys.shards);
-        let s = sys.shards;
-        let mut net = Network::new(metric);
-        net.set_sizer(msg_bytes);
-        BdsSim {
-            sys: sys.clone(),
-            bcfg,
-            net,
-            ledgers: (0..s)
-                .map(|i| ShardLedger::new(ShardId(i as u32), map, bcfg.initial_balance))
-                .collect(),
-            chains: (0..s).map(|i| LocalChain::new(ShardId(i as u32))).collect(),
-            injection: vec![Vec::new(); s],
-            epoch_txns: (0..s).map(|_| BTreeMap::new()).collect(),
-            color_groups: vec![Vec::new(); s],
-            parked: (0..s).map(|_| BTreeMap::new()).collect(),
-            append_buf: vec![Vec::new(); s],
-            leader_buffer: Vec::new(),
-            gap: metric.diameter().max(1),
-            now: Round::ZERO,
-            epoch: 0,
-            epoch_start: Round::ZERO,
-            next_epoch_at: None,
-            collector: MetricsCollector::new(s),
-            max_epoch_len: 0,
-            committed_log: Vec::new(),
-            generated: 0,
-            injected_pending: 0,
-            undecided: 0,
-            policy,
-            assign_scratch: vec![Vec::new(); s],
-            reshard: None,
-        }
+        let nodes = BdsNode::system(&bcfg, metric, true);
+        NodeSim::from_nodes(metric, map, bcfg.initial_balance, nodes, policy)
     }
 
     /// Arms a live-migration schedule. Must be called before the first
@@ -267,464 +631,39 @@ impl BdsSim {
     /// version-0 placement (the scenario executor guarantees both).
     pub fn set_reshard(&mut self, plan: ReshardPlan) {
         assert_eq!(
-            plan.s_max, self.sys.shards,
+            plan.s_max,
+            self.nodes.len(),
             "system must be provisioned for the plan's s_max"
         );
-        assert_eq!(self.now, Round::ZERO, "reshard plan armed after round 0");
-        self.reshard = Some(ReshardState { plan, cur: 0 });
+        assert_eq!(self.now(), Round::ZERO, "reshard plan armed after round 0");
+        let plan = Arc::new(plan);
+        for node in &mut self.nodes {
+            node.set_reshard(Arc::clone(&plan));
+        }
     }
 
     /// Active (vnode-owning) shards right now: the current reshard
     /// version's active-set size, or the full provisioned count for
     /// static runs.
     pub fn active_shards(&self) -> u64 {
-        self.reshard.as_ref().map_or(self.sys.shards as u64, |rs| {
-            rs.plan.versions[rs.cur].active.len() as u64
-        })
+        self.nodes[0].active_shards()
     }
 
     /// Table-independent loss/duplication audit over the local chains
     /// and the commit log: `(lost, double_committed)` — both must be 0
     /// after any reshard schedule.
     pub fn reshard_audit(&self) -> (u64, u64) {
-        simnet::reshard_audit(&self.chains, &self.committed_log)
-    }
-
-    /// Current round.
-    pub fn now(&self) -> Round {
-        self.now
+        simnet::reshard_audit(self.chains(), self.committed_log())
     }
 
     /// Current epoch number.
     pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Turns the metrics plane on (percentile histogram, per-shard
-    /// utilization, epoch timeline). Off by default; enabling it changes
-    /// nothing about scheduling decisions or legacy report bytes.
-    pub fn enable_metrics(&mut self) {
-        self.collector.enable_metrics();
+        self.nodes[0].epoch()
     }
 
     /// The leader shard of the current epoch.
     pub fn leader(&self) -> ShardId {
-        if self.bcfg.rotate_leader {
-            ShardId((self.epoch % self.sys.shards as u64) as u32)
-        } else {
-            ShardId(0)
-        }
-    }
-
-    /// Total pending transactions (injection queues plus in-epoch
-    /// undecided ones) — the quantity bounded by `4bs` in Theorem 2.
-    /// O(1): both terms are maintained incrementally (this is sampled
-    /// every round, so recounting the queues dominated the round cost).
-    pub fn total_pending(&self) -> u64 {
-        #[cfg(debug_assertions)]
-        {
-            let inj: usize = self.injection.iter().map(Vec::len).sum();
-            let in_epoch: usize = self
-                .epoch_txns
-                .iter()
-                .map(|m| m.values().filter(|e| !e.decided).count())
-                .sum();
-            debug_assert_eq!(
-                self.injected_pending + self.undecided,
-                (inj + in_epoch) as u64,
-                "incremental pending counters drifted from the queues"
-            );
-        }
-        self.injected_pending + self.undecided
-    }
-
-    /// The local blockchains (one per shard).
-    pub fn chains(&self) -> &[LocalChain] {
-        &self.chains
-    }
-
-    /// The shard ledgers.
-    pub fn ledgers(&self) -> &[ShardLedger] {
-        &self.ledgers
-    }
-
-    /// Commit log: (commit round, transaction id) in commit order.
-    pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.committed_log
-    }
-
-    /// Executes one round: inject `new_txns`, deliver and handle messages,
-    /// run the epoch state machine, and sample metrics.
-    pub fn step(&mut self, new_txns: Vec<Transaction>) {
-        let now = self.now;
-        // 1. Injection: newly generated transactions join their home
-        //    shard's pending queue.
-        self.generated += new_txns.len() as u64;
-        self.injected_pending += new_txns.len() as u64;
-        for t in new_txns {
-            debug_assert!(t.home.index() < self.sys.shards);
-            self.injection[t.home.index()].push(t);
-        }
-
-        // 2. Message delivery and handling. Delivery runs *before* the
-        //    epoch transition so the round's state changes mirror the
-        //    networked engine, where rollover knowledge can only come
-        //    from messages delivered this round (a plan crossing the full
-        //    diameter lands exactly at the earliest possible rollover).
-        let due = self.net.deliver_due(now);
-        for env in due {
-            self.handle(env.from, env.to, env.payload);
-        }
-
-        // 3. Epoch transitions and phase triggers for this round.
-        if self.next_epoch_at == Some(now) {
-            let len = now.since(self.epoch_start);
-            self.max_epoch_len = self.max_epoch_len.max(len);
-            self.epoch += 1;
-            self.epoch_start = now;
-            self.next_epoch_at = None;
-            // Retire the finished epoch's state. The epoch length
-            // `2 + 4·C` gaps covers every color group's full vote
-            // round-trip, so every scheduled entry has been decided by
-            // now; retiring them keeps the per-shard maps at one epoch's
-            // size instead of accumulating the whole run's history.
-            for m in &mut self.epoch_txns {
-                debug_assert!(
-                    m.values().all(|e| e.decided),
-                    "undecided entry survived its epoch"
-                );
-                m.retain(|_, e| !e.decided);
-            }
-            for g in &mut self.color_groups {
-                g.clear();
-            }
-            // Migration epoch boundary: advance the reshard plan before
-            // phase 1 so the new epoch schedules under the new table.
-            // Safe timing: fault-free epochs end with the network
-            // quiescent (the last color's decisions landed a gap before
-            // the rollover), so ownership moves cannot race in-flight
-            // subtransactions.
-            self.advance_reshard(now);
-        }
-        if now == self.epoch_start {
-            self.phase1_send_pending();
-        }
-
-        // 4. Leader colors once all phase-1 messages are in.
-        if now == self.epoch_start.plus(self.gap) && self.next_epoch_at.is_none() {
-            self.phase2_color();
-        }
-
-        // 5. Phase 3: home shards dispatch the color group designated for
-        //    this round.
-        self.phase3_dispatch();
-
-        // 6. Seal this round's commits into one block per shard.
-        for d in 0..self.sys.shards {
-            if !self.append_buf[d].is_empty() {
-                let batch = std::mem::take(&mut self.append_buf[d]);
-                self.chains[d].append_block(batch, now);
-            }
-        }
-
-        // 7. Metrics. The sink's fault counters stay zero here: the
-        //    simulator is fault-free by construction, and fault-free
-        //    networked runs mirror these exact bytes.
-        let total_pending = self.total_pending();
-        self.collector.sample_pending(total_pending);
-        self.collector
-            .sink
-            .on_round(self.epoch, total_pending, 0, 0, self.active_shards());
-        self.now = self.now.next();
-    }
-
-    /// Steps the reshard plan through every version whose activation
-    /// round has passed. Per advanced version: the epoch leader
-    /// broadcasts the activation signal, then each shard (ascending id)
-    /// hands off its departing account balances (ascending destination).
-    /// That per-sender order is what the networked engine reproduces,
-    /// keeping fault-free reports byte-identical.
-    fn advance_reshard(&mut self, now: Round) {
-        loop {
-            let Some(rs) = &self.reshard else { return };
-            let next = rs.cur + 1;
-            if next >= rs.plan.versions.len() || rs.plan.versions[next].at > now.raw() {
-                return;
-            }
-            let moves = rs.plan.moves(rs.cur);
-            self.reshard.as_mut().expect("checked above").cur = next;
-            let leader = self.leader();
-            for h in 0..self.sys.shards {
-                self.net.send(
-                    leader,
-                    ShardId(h as u32),
-                    now,
-                    Msg::TableUpdate {
-                        version: next as u32,
-                    },
-                );
-            }
-            // Group the balance moves by (old owner, new owner); the
-            // BTreeMap iterates senders ascending, destinations
-            // ascending per sender.
-            let mut batches: BTreeMap<(ShardId, ShardId), Vec<(AccountId, u64)>> = BTreeMap::new();
-            for (account, from, to) in moves {
-                let balance = self.ledgers[from.index()]
-                    .remove_account(account)
-                    .expect("migrating account owned by its old shard");
-                batches
-                    .entry((from, to))
-                    .or_default()
-                    .push((account, balance));
-            }
-            for ((from, to), accounts) in batches {
-                self.net.send(from, to, now, Msg::Handoff { accounts });
-            }
-        }
-    }
-
-    /// Phase 1: every home shard drains its pending queue into the epoch
-    /// set and forwards the transactions to the leader.
-    fn phase1_send_pending(&mut self) {
-        let leader = self.leader();
-        for h in 0..self.sys.shards {
-            let mut drained = std::mem::take(&mut self.injection[h]);
-            if drained.is_empty() {
-                continue;
-            }
-            // Under a reshard plan, rebuild each transaction's shard
-            // grouping against the *current* table: the source may have
-            // grouped under an older version (its version switches at
-            // event rounds, the engine's at migration epoch boundaries).
-            // Homes stay as assigned — accesses are account-based, so
-            // conflict coloring is placement-independent.
-            if let Some(rs) = &self.reshard {
-                let map = &rs.plan.versions[rs.cur].map;
-                for t in &mut drained {
-                    *t = t.regrouped(map);
-                }
-            }
-            self.injected_pending -= drained.len() as u64;
-            self.undecided += drained.len() as u64;
-            self.net.send(
-                ShardId(h as u32),
-                leader,
-                self.now,
-                Msg::TxnInfo(drained.clone()),
-            );
-            for t in drained {
-                self.epoch_txns[h].insert(
-                    t.id,
-                    EpochEntry {
-                        txn: t,
-                        color: None,
-                        votes: 0,
-                        abort: false,
-                        decided: false,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Phase 2 (at the leader): plan the epoch via the policy (BDS
-    /// proper: build the conflict graph and color it), broadcast the plan
-    /// (per-shard assignments + slot count) to every shard, and fix the
-    /// epoch length.
-    fn phase2_color(&mut self) {
-        let txns = std::mem::take(&mut self.leader_buffer);
-        let num_colors = if txns.is_empty() {
-            0
-        } else {
-            let plan = self.policy.plan_epoch(self.epoch, &txns);
-            debug_assert!(
-                plan.is_safe_for(&txns),
-                "{} violated the epoch-plan safety contract",
-                self.policy.kind()
-            );
-            // Group assignments by home shard (dense per-shard lists,
-            // reused across epochs).
-            for (v, t) in txns.iter().enumerate() {
-                self.assign_scratch[t.home.index()].push((t.id, plan.slot(v)));
-            }
-            plan.num_slots
-        };
-        if num_colors > 0 {
-            // Broadcast in shard order; shards with no scheduled
-            // transactions still need the color count to know when the
-            // epoch ends.
-            let leader = self.leader();
-            for h in 0..self.sys.shards {
-                let assignments = std::mem::take(&mut self.assign_scratch[h]);
-                self.net.send(
-                    leader,
-                    ShardId(h as u32),
-                    self.now,
-                    Msg::ColorAssign {
-                        assignments,
-                        num_colors,
-                    },
-                );
-            }
-        }
-        // Epoch length: 2 phase-gaps + 4 phase-gaps per color (paper:
-        // 2 + 4(Δ+1) rounds in the uniform model). An empty epoch is just
-        // the two coordination gaps.
-        let end = self
-            .epoch_start
-            .plus(self.gap * (2 + 4 * num_colors as u64));
-        self.next_epoch_at = Some(end);
-    }
-
-    /// Phase 3: at round `epoch_start + gap·(2 + 4z)` each home shard
-    /// sends the subtransactions of its color-`z` transactions, taken
-    /// from the per-color dispatch index built when the assignments
-    /// arrived (no scan over the whole epoch set).
-    fn phase3_dispatch(&mut self) {
-        let elapsed = self.now.since(self.epoch_start);
-        if elapsed < 2 * self.gap {
-            return;
-        }
-        let offset = elapsed - 2 * self.gap;
-        if !offset.is_multiple_of(4 * self.gap) {
-            return;
-        }
-        let z = (offset / (4 * self.gap)) as usize;
-        for h in 0..self.sys.shards {
-            let Some(group) = self.color_groups[h].get_mut(z) else {
-                continue;
-            };
-            let group = std::mem::take(group);
-            let home = ShardId(h as u32);
-            for txn in group {
-                let Some(entry) = self.epoch_txns[h].get(&txn) else {
-                    continue;
-                };
-                if entry.decided {
-                    continue;
-                }
-                for sub in &entry.txn.subs {
-                    self.net
-                        .send(home, sub.dest, self.now, Msg::SubTxn(sub.clone()));
-                }
-            }
-        }
-    }
-
-    fn handle(&mut self, from: ShardId, to: ShardId, msg: Msg) {
-        match msg {
-            Msg::TxnInfo(txns) => {
-                debug_assert_eq!(to, self.leader());
-                self.leader_buffer.extend(txns);
-            }
-            Msg::ColorAssign {
-                assignments,
-                num_colors,
-            } => {
-                debug_assert!(num_colors > 0, "empty epochs broadcast no plan");
-                let h = to.index();
-                for (txn, color) in assignments {
-                    if let Some(e) = self.epoch_txns[h].get_mut(&txn) {
-                        e.color = Some(color);
-                        let groups = &mut self.color_groups[h];
-                        let z = color as usize;
-                        if groups.len() <= z {
-                            groups.resize_with(z + 1, Vec::new);
-                        }
-                        groups[z].push(txn);
-                    }
-                }
-            }
-            Msg::SubTxn(sub) => {
-                let d = to.index();
-                let commit = self.ledgers[d].check(&sub);
-                let txn = sub.txn;
-                self.parked[d].insert(txn, sub);
-                // Vote goes back to the transaction's home shard.
-                self.net.send(to, from, self.now, Msg::Vote { txn, commit });
-            }
-            Msg::Vote { txn, commit } => {
-                let h = to.index();
-                let Some(e) = self.epoch_txns[h].get_mut(&txn) else {
-                    return;
-                };
-                e.votes += 1;
-                e.abort |= !commit;
-                if e.votes == e.txn.shard_count() && !e.decided {
-                    e.decided = true;
-                    self.undecided -= 1;
-                    let commit_all = !e.abort;
-                    let generated = e.txn.generated;
-                    let home = e.txn.home;
-                    for dest in e.txn.shards() {
-                        self.net.send(
-                            to,
-                            dest,
-                            self.now,
-                            Msg::Decision {
-                                txn,
-                                commit: commit_all,
-                            },
-                        );
-                    }
-                    // Commit lands at the destinations one gap later.
-                    let commit_round = self
-                        .now
-                        .plus(self.net.distance(to, e.txn.subs[0].dest).max(1));
-                    if commit_all {
-                        self.collector.record_commit(generated, commit_round, home);
-                        self.committed_log.push((commit_round, txn));
-                    } else {
-                        self.collector.record_abort();
-                    }
-                }
-            }
-            Msg::Decision { txn, commit } => {
-                let d = to.index();
-                if let Some(sub) = self.parked[d].remove(&txn) {
-                    if commit {
-                        self.ledgers[d].apply(&sub);
-                        self.append_buf[d].push(sub);
-                    }
-                }
-            }
-            Msg::TableUpdate { version } => {
-                // The plan is pre-agreed configuration; the broadcast is
-                // the (measured) activation signal. The simulator's
-                // recipients already switched at the send round, so this
-                // only cross-checks the version bookkeeping.
-                debug_assert!(
-                    self.reshard
-                        .as_ref()
-                        .is_some_and(|rs| rs.cur == version as usize),
-                    "table-update version {version} does not match the live table"
-                );
-            }
-            Msg::Handoff { accounts } => {
-                let d = to.index();
-                for (account, balance) in accounts {
-                    self.ledgers[d].absorb(account, balance);
-                }
-            }
-        }
-    }
-
-    /// Finalizes the run into a [`RunReport`] (reported under the
-    /// policy's kind: `BDS` for the coloring policy, the zoo kind
-    /// otherwise).
-    pub fn finish(self) -> RunReport {
-        let pending = self.total_pending();
-        let kind = self.policy.kind();
-        self.collector.finish(
-            kind,
-            self.now.raw(),
-            self.generated,
-            pending,
-            self.epoch,
-            self.max_epoch_len,
-            self.net.sent_count(),
-            self.net.max_message_bytes(),
-        )
+        self.nodes[0].leader()
     }
 }
 
@@ -762,20 +701,9 @@ pub fn run_bds_with_metric(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::small_system as small_sys;
     use adversary::{Adversary, StrategyKind};
     use sharding_core::stats::StabilityVerdict;
-
-    fn small_sys() -> (SystemConfig, AccountMap) {
-        let sys = SystemConfig {
-            shards: 8,
-            accounts: 8,
-            k_max: 3,
-            nodes_per_shard: 4,
-            faulty_per_shard: 1,
-        };
-        let map = AccountMap::round_robin(&sys);
-        (sys, map)
-    }
 
     #[test]
     fn empty_run_is_stable_and_cheap() {
@@ -859,13 +787,9 @@ mod tests {
         rounds.sort_unstable();
         rounds.dedup();
         assert_eq!(rounds.len(), 3, "conflicting commits serialized: {log:?}");
+        assert!(sim.chains().iter().all(simnet::LocalChain::verify));
         let r = sim.finish();
         assert_eq!(r.committed, 3);
-        assert!(sim_chains_ok(&sys, &map));
-    }
-
-    fn sim_chains_ok(_sys: &SystemConfig, _map: &AccountMap) -> bool {
-        true
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `run_*` convenience function shares.
 
 use crate::metrics::RunReport;
-use adversary::{Adversary, AdversaryConfig, RoundSource};
+use adversary::{Adversary, AdversaryConfig};
 use sharding_core::{AccountMap, Round, SystemConfig, Transaction};
 
 /// A synchronous round-based scheduler execution: feed it one injection
@@ -26,46 +26,25 @@ pub trait RoundDriver {
 /// Drives `driver` for `rounds` rounds against a fresh adversary — the
 /// loop shared by every `run_*` convenience function.
 pub fn drive<D: RoundDriver>(
-    driver: D,
+    mut driver: D,
     sys: &SystemConfig,
     map: &AccountMap,
     adv: &AdversaryConfig,
     rounds: Round,
 ) -> RunReport {
     let mut adversary = Adversary::new(sys, map, *adv);
-    drive_with(driver, &mut adversary, rounds)
-}
-
-/// Drives `driver` for `rounds` rounds, pulling each round's batch from
-/// an arbitrary [`RoundSource`] — the legacy per-round adversary or the
-/// streaming [`IngestPipeline`](adversary::IngestPipeline). [`drive`] is
-/// this loop specialized to a fresh adversary.
-pub fn drive_with<D: RoundDriver>(
-    mut driver: D,
-    source: &mut dyn RoundSource,
-    rounds: Round,
-) -> RunReport {
     for r in 0..rounds.raw() {
-        driver.step(source.next_round(Round(r)));
+        driver.step(adversary.generate(Round(r)));
     }
     driver.finish()
 }
 
-impl RoundDriver for crate::bds::BdsSim {
+impl<N: crate::node::ProtocolNode> RoundDriver for crate::node::NodeSim<N> {
     fn step(&mut self, new_txns: Vec<Transaction>) {
-        crate::bds::BdsSim::step(self, new_txns);
+        crate::node::NodeSim::step(self, new_txns);
     }
     fn finish(self) -> RunReport {
-        crate::bds::BdsSim::finish(self)
-    }
-}
-
-impl RoundDriver for crate::fds::FdsSim {
-    fn step(&mut self, new_txns: Vec<Transaction>) {
-        crate::fds::FdsSim::step(self, new_txns);
-    }
-    fn finish(self) -> RunReport {
-        crate::fds::FdsSim::finish(self)
+        crate::node::NodeSim::finish(self)
     }
 }
 

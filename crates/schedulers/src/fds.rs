@@ -45,17 +45,24 @@
 //! stability range the paper's Figure 3 reports. Priority (height) order
 //! still governs which transactions are voted first, so the analysis's
 //! per-period accounting is preserved.
+//!
+//! The protocol is written once, as the per-shard [`FdsNode`]; [`FdsSim`]
+//! steps one node per shard over [`simnet::Network`] and the networked
+//! engine in `runtime` runs the same nodes concurrently (see
+//! [`crate::node`]).
 
 use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
+use crate::node::{CommitEvent, NodeSim, Outbox, ProtocolNode, ShardIo, VoteTally};
 use crate::scheduler::{ColoringPolicy, EpochPlan, Scheduler};
 use adversary::AdversaryConfig;
 use cluster::{ClusterId, Hierarchy, LineMetric, ShardMetric};
 use conflict::ColoringStrategy;
 use sharding_core::txn::SubTransaction;
 use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::{LocalChain, Network, ShardLedger};
+use simnet::ShardLedger;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Multiplicative hasher for the scheduler's small-integer keys
 /// (`TxnId`, `ShardId`). The default SipHash shows up in the FDS
@@ -146,37 +153,44 @@ pub struct Height {
     pub txn: TxnId,
 }
 
+/// Messages of the FDS protocol.
 #[derive(Debug, Clone)]
-enum Msg {
+pub enum Msg {
     /// Home shard → cluster leader: a new transaction to schedule.
-    ToLeader { txn: Transaction },
+    ToLeader {
+        /// The transaction.
+        txn: Transaction,
+    },
     /// Leader → destination: scheduled subtransaction with its height.
     Schedule {
+        /// The destination's part of the transaction.
         sub: SubTransaction,
+        /// Its priority in the destination's schedule queue.
         height: Height,
+        /// The scheduling cluster leader (where the vote goes).
         leader: ShardId,
     },
     /// Destination → leader: validity vote for one subtransaction.
-    Vote { txn: TxnId, commit: bool },
+    Vote {
+        /// The voted transaction.
+        txn: TxnId,
+        /// The destination's validity verdict.
+        commit: bool,
+    },
     /// Leader → destination: final commit/abort confirmation.
-    Confirm { txn: TxnId, commit: bool },
-}
-
-/// Estimated wire size of an FDS message in bytes.
-fn msg_bytes(m: &Msg) -> usize {
-    match m {
-        Msg::ToLeader { txn } => txn.approx_bytes(),
-        Msg::Schedule { sub, .. } => 28 + sub.approx_bytes(),
-        Msg::Vote { .. } | Msg::Confirm { .. } => 17,
-    }
+    Confirm {
+        /// The decided transaction.
+        txn: TxnId,
+        /// Commit (`true`) or abort.
+        commit: bool,
+    },
 }
 
 /// Per-transaction state at its cluster leader (`sch_ldr` entry).
 #[derive(Debug)]
 struct LeaderEntry {
     txn: Transaction,
-    // Pure lookup + tally (never iterated for ordering): hashed.
-    votes: FastMap<ShardId, bool>,
+    votes: VoteTally,
 }
 
 /// Scheduling state of one cluster leader.
@@ -200,242 +214,106 @@ struct LeaderState {
 struct DestState {
     /// `sch_qd`: height-ordered scheduled subtransactions.
     sch_qd: BTreeMap<Height, SubTransaction>,
-    /// Reverse index txn → current height (for updates and removals).
-    /// Lookup-only (never iterated), so hashed — the schedule order
-    /// lives exclusively in `sch_qd`.
-    by_txn: FastMap<TxnId, Height>,
-    /// Leader shard per queued txn (vote routing). Lookup-only: hashed.
-    leader_of: FastMap<TxnId, ShardId>,
+    /// Reverse index txn → current height (for updates and removals) and
+    /// scheduling leader (vote routing). Lookup-only (never iterated),
+    /// so hashed — the schedule order lives exclusively in `sch_qd`.
+    queued: FastMap<TxnId, (Height, ShardId)>,
     /// Transactions this destination has already voted for.
     /// Membership-only: hashed.
     voted: FastSet<TxnId>,
 }
 
-/// The FDS simulator. Drive with [`FdsSim::step`] once per round.
-pub struct FdsSim {
-    sys: SystemConfig,
+/// One shard of FDS: its home outbox, the state of every cluster it
+/// leads, and its destination schedule queue. Epoch starts, coloring
+/// moments and rescheduling alignments are pure functions of the round
+/// and the shared hierarchy, so a node needs no knowledge that only a
+/// message could carry.
+pub struct FdsNode {
+    id: ShardId,
     fcfg: FdsConfig,
-    hierarchy: Hierarchy,
-    net: Network<Msg>,
-    ledgers: Vec<ShardLedger>,
-    chains: Vec<LocalChain>,
-    /// Per home shard: transactions waiting for their layer's next epoch.
-    outbox: Vec<Vec<(ClusterId, Transaction)>>,
-    leaders: BTreeMap<ClusterId, LeaderState>,
-    /// Home cluster of every transaction currently in some leader's
-    /// `sch_ldr` — vote routing becomes one lookup instead of a scan
-    /// over every cluster the receiving shard leads. Lookup-only:
-    /// hashed.
-    txn_cluster: FastMap<TxnId, ClusterId>,
-    dests: Vec<DestState>,
-    /// Per-destination batch of subtransactions confirmed this round,
-    /// sealed into one block at the end of the round.
-    append_buf: Vec<Vec<SubTransaction>>,
     e0: u64,
-    now: Round,
-    generated: u64,
-    outstanding: u64,
-    max_access_distance: u64,
-    collector: MetricsCollector,
-    committed_log: Vec<(Round, TxnId)>,
-    /// The shared coloring policy every cluster leader plans through
-    /// (the same [`ColoringPolicy`] code path BDS's leader uses, owning
-    /// the reusable coloring scratch).
-    policy: ColoringPolicy,
-    /// Memoized [`Hierarchy::home_cluster`] per `(home, x)`: the hot
-    /// path computes it twice per transaction (injection and leader
-    /// arrival), and it is a pure function of the fixed hierarchy —
-    /// outer index home shard, inner index access distance `x`.
-    home_cluster_cache: Vec<Vec<Option<ClusterId>>>,
+    hierarchy: Arc<Hierarchy>,
+    /// Transactions homed here, waiting for their layer's next epoch.
+    outbox: Vec<(ClusterId, Transaction)>,
     /// Recycled phase-1 scratch: holds the not-yet-due outbox entries
-    /// while a home shard's outbox is partitioned at an epoch boundary,
-    /// then swaps back in — steady state allocates nothing per round.
+    /// while the outbox is partitioned at an epoch boundary, then swaps
+    /// back in — steady state allocates nothing per round.
     keep_buf: Vec<(ClusterId, Transaction)>,
+    /// Clusters this shard leads, created on first arrival.
+    leaders: BTreeMap<ClusterId, LeaderState>,
+    /// Clusters with work pending (`incoming` or `sch_ldr` non-empty).
+    /// `leaders` only ever grows, so the per-round phase-2 scan and the
+    /// leader-queue sample walk this set instead. Maintained at the two
+    /// transition points: a `ToLeader` arrival activates, the last
+    /// confirm deactivates (coloring only moves work between the two
+    /// queues). Ordered: clusters color in id order, which fixes this
+    /// shard's send order and so the receivers' delivery order.
+    active: BTreeSet<ClusterId>,
     /// Recycled phase-2 scratch: the clusters at their coloring moment
     /// this round.
     due_buf: Vec<ClusterId>,
-    /// Clusters with work pending (`incoming` or `sch_ldr` non-empty).
-    /// `leaders` only ever grows — one entry per cluster ever used — so
-    /// the per-round phase-2 scan and the leader-queue metric walk this
-    /// set instead of the whole map. Maintained at the two transition
-    /// points: a `ToLeader` arrival activates, the last confirm
-    /// deactivates (coloring only moves work between the two queues).
-    /// A `BTreeSet` so iteration order matches the old sorted-map scan.
-    active: BTreeSet<ClusterId>,
+    /// Home cluster of every transaction in some local `sch_ldr` — vote
+    /// routing is one lookup. Lookup-only: hashed.
+    txn_cluster: FastMap<TxnId, ClusterId>,
+    dest: DestState,
+    /// Subtransactions confirmed this round, sealed into one block at
+    /// the end of the round.
+    append_buf: Vec<SubTransaction>,
+    /// Memoized [`Hierarchy::home_cluster`] per `(home, x)`: computed at
+    /// injection and again at leader arrival, a pure function of the
+    /// fixed hierarchy — outer index home shard, inner index `x`.
+    home_cluster_cache: Vec<Vec<Option<ClusterId>>>,
+    /// Transactions injected here / resolved by clusters led here.
+    injected: u64,
+    resolved: u64,
+    /// Worst access distance among transactions injected here.
+    max_access_distance: u64,
+    now: u64,
 }
 
-impl FdsSim {
-    /// Creates an FDS simulation over `metric`.
-    pub fn new(
-        sys: &SystemConfig,
-        map: &AccountMap,
-        fcfg: FdsConfig,
-        metric: &dyn ShardMetric,
-    ) -> Self {
-        sys.validate().expect("valid system config");
-        assert_eq!(metric.shards(), sys.shards);
-        let s = sys.shards;
-        let lg = (usize::BITS - (s.max(2) - 1).leading_zeros()) as u64; // ceil(log2 s)
-        let e0 = (fcfg.epoch_scale * lg).max(1);
-        FdsSim {
-            sys: sys.clone(),
-            hierarchy: Hierarchy::build_with_sublayers(metric, fcfg.sublayers),
-            fcfg,
-            net: {
-                let mut net = Network::new(metric);
-                net.set_sizer(msg_bytes);
-                net
-            },
-            ledgers: (0..s)
-                .map(|i| ShardLedger::new(ShardId(i as u32), map, fcfg.initial_balance))
-                .collect(),
-            chains: (0..s).map(|i| LocalChain::new(ShardId(i as u32))).collect(),
-            outbox: vec![Vec::new(); s],
-            leaders: BTreeMap::new(),
-            txn_cluster: FastMap::default(),
-            dests: (0..s).map(|_| DestState::default()).collect(),
-            append_buf: vec![Vec::new(); s],
-            e0,
-            now: Round::ZERO,
-            generated: 0,
-            outstanding: 0,
-            max_access_distance: 0,
-            collector: MetricsCollector::new(s),
-            committed_log: Vec::new(),
-            policy: ColoringPolicy::new(SchedulerKind::Fds, fcfg.coloring, sys.accounts),
-            home_cluster_cache: vec![Vec::new(); s],
-            keep_buf: Vec::new(),
-            due_buf: Vec::new(),
-            active: BTreeSet::new(),
-        }
-    }
+/// What an [`FdsNode`] reports at the end of a round.
+#[derive(Debug, Clone, Copy)]
+pub struct FdsSample {
+    /// Queued transactions over the clusters led here.
+    pub leader_queue: u64,
+    /// Clusters led here with work pending.
+    pub leader_active: u64,
+    /// Cumulative transactions injected here.
+    pub injected: u64,
+    /// Cumulative transactions resolved by clusters led here.
+    pub resolved: u64,
+    /// The layer-0 epoch of the round.
+    pub epoch: u64,
+}
 
-    /// [`Hierarchy::home_cluster`] through the per-`(home, x)` memo.
-    fn home_cluster_cached(&mut self, home: ShardId, x: u64) -> ClusterId {
-        let slot = &mut self.home_cluster_cache[home.index()];
-        let xi = x as usize;
-        if slot.len() <= xi {
-            slot.resize(xi + 1, None);
-        }
-        if let Some(cid) = slot[xi] {
-            return cid;
-        }
-        let cid = self.hierarchy.home_cluster(home, x);
-        self.home_cluster_cache[home.index()][xi] = Some(cid);
-        cid
-    }
-
-    /// Base epoch length `E_0`.
-    pub fn e0(&self) -> u64 {
-        self.e0
-    }
-
-    /// Current round.
-    pub fn now(&self) -> Round {
-        self.now
-    }
-
-    /// The cluster hierarchy in use.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
-    }
-
-    /// Pending (generated but unresolved) transactions.
-    pub fn total_pending(&self) -> u64 {
-        self.outstanding
-    }
-
-    /// Worst access distance `d` seen so far (for Theorem 3 comparisons).
-    pub fn max_access_distance(&self) -> u64 {
-        self.max_access_distance
-    }
-
-    /// The local blockchains.
-    pub fn chains(&self) -> &[LocalChain] {
-        &self.chains
-    }
-
-    /// The shard ledgers.
-    pub fn ledgers(&self) -> &[ShardLedger] {
-        &self.ledgers
-    }
-
-    /// Commit log: (commit round, txn id).
-    pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.committed_log
-    }
-
-    /// Turns the metrics plane on (percentile histogram, per-shard
-    /// utilization, layer-0-epoch timeline). Off by default.
-    pub fn enable_metrics(&mut self) {
-        self.collector.enable_metrics();
-    }
-
-    /// Executes one round.
-    pub fn step(&mut self, new_txns: Vec<Transaction>) {
-        let now = self.now;
-
-        // 1. Injection: assign home clusters, park in the home outbox.
-        for t in new_txns {
-            self.generated += 1;
-            self.outstanding += 1;
-            let x = t
-                .shards()
-                .map(|d| self.hierarchy.distance(t.home, d))
-                .max()
-                .unwrap_or(0);
-            self.max_access_distance = self.max_access_distance.max(x);
-            let cid = self.home_cluster_cached(t.home, x);
-            self.outbox[t.home.index()].push((cid, t));
-        }
-
-        // 2. Home shards forward outbox entries whose layer's epoch starts
-        //    now (Phase 1 of Algorithm 2a).
-        self.phase1_forward();
-
-        // 3. Deliver due messages.
-        let due = self.net.deliver_due(now);
-        for env in due {
-            self.handle(env.from, env.to, env.payload);
-        }
-
-        // 4. Cluster leaders at their coloring moment run Phase 2.
-        self.phase2_color_clusters();
-
-        // 5. Algorithm 2b step 1: destinations vote for unvoted heads.
-        self.vote_heads();
-
-        // 6. Seal this round's commits into one block per shard.
-        for d in 0..self.sys.shards {
-            if !self.append_buf[d].is_empty() {
-                let batch = std::mem::take(&mut self.append_buf[d]);
-                self.chains[d].append_block(batch, now);
-            }
-        }
-
-        // 7. Metrics. The Figure 3 left panel plots the average pending
-        //    *scheduled* transactions at cluster leader shards, so the
-        //    queue series records mean `sch_ldr` size over active leaders.
-        let (lead_total, lead_active) = self
-            .active
-            .iter()
-            .map(|cid| &self.leaders[cid])
-            .fold((0usize, 0usize), |(t, n), st| {
-                (t + st.sch_ldr.len() + st.incoming.len(), n + 1)
-            });
-        let leader_avg = lead_total as f64 / lead_active.max(1) as f64;
-        self.collector
-            .sample_queue_value(leader_avg, self.outstanding);
-        // The timeline's epoch is the layer-0 epoch, matching `finish()`'s
-        // `epochs` quantity and the networked engine's derivation.
-        self.collector.sink.on_round(
-            now.raw() / self.e0,
-            self.outstanding,
-            0,
-            0,
-            self.sys.shards as u64,
-        );
-        self.now = self.now.next();
+impl FdsNode {
+    /// One node per shard of `metric`, over one shared cluster
+    /// hierarchy.
+    pub fn system(fcfg: &FdsConfig, metric: &dyn ShardMetric) -> Vec<FdsNode> {
+        let hierarchy = Arc::new(Hierarchy::build_with_sublayers(metric, fcfg.sublayers));
+        let lg = (usize::BITS - (metric.shards().max(2) - 1).leading_zeros()) as u64; // ceil(log2 s)
+        (0..metric.shards() as u32)
+            .map(|i| FdsNode {
+                id: ShardId(i),
+                fcfg: *fcfg,
+                // Base epoch length E_0 = c·⌈log₂ s⌉ (at least 1).
+                e0: (fcfg.epoch_scale * lg).max(1),
+                hierarchy: Arc::clone(&hierarchy),
+                outbox: Vec::new(),
+                keep_buf: Vec::new(),
+                leaders: BTreeMap::new(),
+                active: BTreeSet::new(),
+                due_buf: Vec::new(),
+                txn_cluster: FastMap::default(),
+                dest: DestState::default(),
+                append_buf: Vec::new(),
+                home_cluster_cache: Vec::new(),
+                injected: 0,
+                resolved: 0,
+                max_access_distance: 0,
+                now: 0,
+            })
+            .collect()
     }
 
     /// Epoch length of layer `i`.
@@ -443,56 +321,62 @@ impl FdsSim {
         self.e0 << layer
     }
 
-    fn phase1_forward(&mut self) {
-        let now = self.now;
-        // Every layer's epoch length is `e0 << layer`, so every epoch
-        // boundary — for every layer — is a multiple of `e0`. On the
-        // other `e0 - 1` of each `e0` rounds nothing can be due, and the
-        // partition pass below would only move every outbox entry into
-        // `keep` and back; skip it wholesale.
-        if !now.raw().is_multiple_of(self.e0) {
-            return;
+    /// The home cluster of `txn`: the lowest cluster containing the whole
+    /// `x`-neighborhood of its home, `x` its worst access distance.
+    /// Returns the cluster and `x`.
+    fn home_cluster(&mut self, txn: &Transaction) -> (ClusterId, u64) {
+        let home = txn.home;
+        let x = txn
+            .shards()
+            .map(|d| self.hierarchy.distance(home, d))
+            .max()
+            .unwrap_or(0);
+        if self.home_cluster_cache.len() <= home.index() {
+            self.home_cluster_cache
+                .resize_with(home.index() + 1, Vec::new);
         }
-        for h in 0..self.sys.shards {
-            if self.outbox[h].is_empty() {
-                continue;
-            }
-            // Partition through the recycled scratch: `pending` (the old
-            // outbox) drains into sends + `keep`, then the two vectors
-            // swap roles so both capacities survive to the next boundary.
-            let mut pending = std::mem::take(&mut self.outbox[h]);
-            let mut keep = std::mem::take(&mut self.keep_buf);
-            for (cid, txn) in pending.drain(..) {
-                if now.raw().is_multiple_of(self.epoch_len(cid.layer)) {
-                    let leader = self.hierarchy.cluster(cid).leader;
-                    // Leader states are keyed by cluster; create lazily so
-                    // the ToLeader handler can file the transaction.
-                    self.leaders.entry(cid).or_default();
-                    self.net
-                        .send(ShardId(h as u32), leader, now, Msg::ToLeader { txn });
-                    // Tag the message's cluster through the destination:
-                    // the leader shard can lead several clusters, so the
-                    // cluster id travels in the envelope via a map lookup
-                    // on arrival (see `handle`), keyed by the sender's
-                    // choice recorded here.
-                } else {
-                    keep.push((cid, txn));
-                }
-            }
-            self.outbox[h] = keep;
-            self.keep_buf = pending;
+        let slot = &mut self.home_cluster_cache[home.index()];
+        let xi = x as usize;
+        if slot.len() <= xi {
+            slot.resize(xi + 1, None);
         }
+        let cid = *slot[xi].get_or_insert_with(|| self.hierarchy.home_cluster(home, x));
+        (cid, x)
     }
 
-    fn phase2_color_clusters(&mut self) {
-        let now = self.now.raw();
-        // Collect the clusters at their coloring moment first (borrow
-        // discipline) into the recycled scratch, then process each.
+    /// Phase 1 of Algorithm 2a: forward outbox entries whose layer's
+    /// epoch starts now.
+    fn phase1_forward<O: Outbox<Msg>>(&mut self, out: &mut O) {
+        let now = self.now;
+        // Every layer's epoch length is `e0 << layer`, so every epoch
+        // boundary is a multiple of `e0`; on other rounds nothing is due.
+        if self.outbox.is_empty() || !now.is_multiple_of(self.e0) {
+            return;
+        }
+        // Partition through the recycled scratch: `pending` (the old
+        // outbox) drains into sends + `keep`, then the two vectors swap
+        // roles so both capacities survive to the next boundary.
+        let mut pending = std::mem::take(&mut self.outbox);
+        let mut keep = std::mem::take(&mut self.keep_buf);
+        for (cid, txn) in pending.drain(..) {
+            if now.is_multiple_of(self.epoch_len(cid.layer)) {
+                out.send(self.hierarchy.cluster(cid).leader, Msg::ToLeader { txn });
+            } else {
+                keep.push((cid, txn));
+            }
+        }
+        self.outbox = keep;
+        self.keep_buf = pending;
+    }
+
+    /// Phase 2 for every cluster led here that is at its coloring moment.
+    fn phase2_color_clusters<O: Outbox<Msg>>(&mut self, policy: &mut dyn Scheduler, out: &mut O) {
+        if self.active.is_empty() {
+            return;
+        }
+        let now = self.now;
         let mut due = std::mem::take(&mut self.due_buf);
         due.clear();
-        // `active` holds exactly the clusters with a non-empty
-        // `incoming` or `sch_ldr`, in the same `ClusterId` order the old
-        // full-map scan produced.
         due.extend(
             self.active
                 .iter()
@@ -504,7 +388,7 @@ impl FdsSim {
                 .copied(),
         );
         for &cid in &due {
-            self.color_cluster(cid);
+            self.color_cluster(cid, policy, out);
         }
         self.due_buf = due;
     }
@@ -512,12 +396,15 @@ impl FdsSim {
     /// Phase 2 for one cluster: color new (or all uncommitted, at
     /// rescheduling alignments) transactions and dispatch the scheduled
     /// subtransactions with their heights.
-    fn color_cluster(&mut self, cid: ClusterId) {
+    fn color_cluster<O: Outbox<Msg>>(
+        &mut self,
+        cid: ClusterId,
+        policy: &mut dyn Scheduler,
+        out: &mut O,
+    ) {
         let d_c = self.hierarchy.cluster(cid).diameter.max(1);
-        let leader_shard = self.hierarchy.cluster(cid).leader;
         let e_i = self.epoch_len(cid.layer);
-        let r0 = self.now.raw() - d_c;
-        let t_end = r0 + e_i;
+        let t_end = self.now - d_c + e_i;
         // The epoch end aligns with a rescheduling period P_k, k > i, iff
         // t_end is a multiple of 2^{i+1}·E_0.
         let reschedule = self.fcfg.reschedule && t_end.is_multiple_of(e_i * 2);
@@ -534,7 +421,7 @@ impl FdsSim {
             if let std::collections::btree_map::Entry::Vacant(v) = st.sch_ldr.entry(t.id) {
                 v.insert(LeaderEntry {
                     txn: t.clone(),
-                    votes: FastMap::default(),
+                    votes: VoteTally::default(),
                 });
                 self.txn_cluster.insert(t.id, cid);
             }
@@ -556,13 +443,12 @@ impl FdsSim {
         let plan = if unchanged {
             st.last_plan.clone().expect("checked above")
         } else {
-            let p = self.policy.plan_epoch(t_end, &targets);
+            let p = policy.plan_epoch(t_end, &targets);
             st.last_ids.clear();
             st.last_ids.extend(targets.iter().map(|t| t.id));
             st.last_plan = Some(p.clone());
             p
         };
-        let now = self.now;
         for (v, t) in targets.iter().enumerate() {
             let height = Height {
                 t_end,
@@ -572,75 +458,49 @@ impl FdsSim {
                 txn: t.id,
             };
             for sub in &t.subs {
-                self.net.send(
-                    leader_shard,
+                out.send(
                     sub.dest,
-                    now,
                     Msg::Schedule {
                         sub: sub.clone(),
                         height,
-                        leader: leader_shard,
+                        leader: self.id,
                     },
                 );
             }
         }
     }
 
-    /// Algorithm 2b step 1: each destination examines the head of its
-    /// schedule queue and votes for the head's entire *color class* — all
-    /// queued subtransactions sharing the head's `(t_end, layer, sublayer,
-    /// color)` prefix. Same prefix means same cluster, same coloring
-    /// batch, same color, hence mutually conflict-free; the Lemma 2/3
-    /// accounting charges `2d+1` rounds per color class, not per
-    /// transaction, which is exactly this batching.
-    fn vote_heads(&mut self) {
-        let now = self.now;
-        let window = self.fcfg.pipeline_window.max(1);
-        for d in 0..self.sys.shards {
-            let dest = &mut self.dests[d];
-            // `voted` holds exactly the outstanding (unconfirmed) votes.
-            if dest.voted.len() >= window {
-                continue;
-            }
-            // Votes are only cast for queued entries and are removed
-            // together with them on confirmation, so `voted` is a subset
-            // of `sch_qd`'s txns; equal sizes mean the whole queue is
-            // already voted (including the empty queue) and the head
-            // scan below cannot find anything.
-            if dest.voted.len() == dest.sch_qd.len() {
-                continue;
-            }
-            // One new vote per round: the smallest-height unvoted entry.
-            let Some((_, sub)) = dest
-                .sch_qd
-                .iter()
-                .find(|(_, s)| !dest.voted.contains(&s.txn))
-            else {
-                continue;
-            };
-            let commit = self.ledgers[d].check(sub);
-            let txn = sub.txn;
-            let leader = dest.leader_of[&txn];
-            dest.voted.insert(txn);
-            self.net
-                .send(ShardId(d as u32), leader, now, Msg::Vote { txn, commit });
+    /// Algorithm 2b step 1: while fewer than `W` votes are outstanding,
+    /// vote for the smallest-height unvoted entry of the schedule queue
+    /// (one new vote per round, the capacity constraint).
+    fn vote_head<O: Outbox<Msg>>(&mut self, ledger: &ShardLedger, out: &mut O) {
+        let dest = &mut self.dest;
+        // `voted` holds exactly the outstanding (unconfirmed) votes, a
+        // subset of `sch_qd`'s txns: equal sizes mean the whole queue is
+        // already voted (including the empty queue).
+        if dest.voted.len() >= self.fcfg.pipeline_window.max(1)
+            || dest.voted.len() == dest.sch_qd.len()
+        {
+            return;
         }
+        let Some((_, sub)) = dest
+            .sch_qd
+            .iter()
+            .find(|(_, s)| !dest.voted.contains(&s.txn))
+        else {
+            return;
+        };
+        let commit = ledger.check(sub);
+        let txn = sub.txn;
+        dest.voted.insert(txn);
+        out.send(dest.queued[&txn].1, Msg::Vote { txn, commit });
     }
 
-    fn handle(&mut self, from: ShardId, to: ShardId, msg: Msg) {
+    fn handle<O: Outbox<Msg>>(&mut self, from: ShardId, msg: Msg, io: &mut ShardIo<'_, O>) {
         match msg {
             Msg::ToLeader { txn } => {
-                // Find the cluster this leader shard is collecting for that
-                // contains both the home shard and this leader: the home
-                // cluster was computed at injection; recompute (cheap,
-                // deterministic) to file under the right cluster.
-                let x = txn
-                    .shards()
-                    .map(|s| self.hierarchy.distance(txn.home, s))
-                    .max()
-                    .unwrap_or(0);
-                let cid = self.home_cluster_cached(txn.home, x);
-                debug_assert_eq!(self.hierarchy.cluster(cid).leader, to);
+                let (cid, _) = self.home_cluster(&txn);
+                debug_assert_eq!(self.hierarchy.cluster(cid).leader, self.id);
                 self.leaders.entry(cid).or_default().incoming.push(txn);
                 self.active.insert(cid);
             }
@@ -649,107 +509,203 @@ impl FdsSim {
                 height,
                 leader,
             } => {
-                let d = to.index();
-                let dest = &mut self.dests[d];
+                let dest = &mut self.dest;
                 let txn = sub.txn;
                 // Update: drop the old queue position if present.
-                if let Some(old) = dest.by_txn.remove(&txn) {
+                if let Some((old, _)) = dest.queued.insert(txn, (height, leader)) {
                     dest.sch_qd.remove(&old);
                 }
-                dest.by_txn.insert(txn, height);
-                dest.leader_of.insert(txn, leader);
                 dest.sch_qd.insert(height, sub);
             }
             Msg::Vote { txn, commit } => {
-                // `to` is the leader shard; a transaction sits in exactly
-                // one cluster's `sch_ldr` (its home cluster), kept in the
-                // `txn_cluster` index — one lookup instead of scanning
-                // every cluster the shard leads. A vote arriving after
-                // the confirmation finds no entry and is a no-op, exactly
-                // like the old scan.
+                // A transaction sits in exactly one cluster's `sch_ldr`
+                // (its home cluster). A vote arriving after the
+                // confirmation finds no entry and is a no-op.
                 let Some(&cid) = self.txn_cluster.get(&txn) else {
                     return;
                 };
-                debug_assert_eq!(self.hierarchy.cluster(cid).leader, to);
-                let mut decided: Option<(ClusterId, bool)> = None;
-                if let Some(st) = self.leaders.get_mut(&cid) {
-                    if let Some(entry) = st.sch_ldr.get_mut(&txn) {
-                        entry.votes.insert(from, commit);
-                        if entry.votes.len() == entry.txn.shard_count() {
-                            let all_commit = entry.votes.values().all(|&v| v);
-                            decided = Some((cid, all_commit));
-                        }
-                    }
-                }
-                if let Some((cid, all_commit)) = decided {
-                    self.confirm(cid, txn, all_commit);
+                debug_assert_eq!(self.hierarchy.cluster(cid).leader, self.id);
+                let st = self.leaders.get_mut(&cid).expect("cluster exists");
+                let entry = st.sch_ldr.get_mut(&txn).expect("indexed entry exists");
+                if entry.votes.record(from, commit) == entry.txn.shard_count() {
+                    let all_commit = entry.votes.all_commit();
+                    self.confirm(cid, txn, all_commit, io);
                 }
             }
             Msg::Confirm { txn, commit } => {
-                let d = to.index();
-                let dest = &mut self.dests[d];
-                if let Some(h) = dest.by_txn.remove(&txn) {
+                let dest = &mut self.dest;
+                if let Some((h, _)) = dest.queued.remove(&txn) {
                     if let Some(sub) = dest.sch_qd.remove(&h) {
-                        if commit {
-                            // In pipelined mode a vote can go stale between
-                            // check and confirm; `try_apply` re-validates
-                            // applicability (never fails on write-only
-                            // workloads — see the module docs).
-                            if self.ledgers[d].try_apply(&sub) {
-                                self.append_buf[d].push(sub);
-                            }
+                        // In pipelined mode a vote can go stale between
+                        // check and confirm; `try_apply` re-validates
+                        // applicability (never fails on write-only
+                        // workloads — see the module docs).
+                        if commit && io.ledger.try_apply(&sub) {
+                            self.append_buf.push(sub);
                         }
                     }
                 }
-                dest.leader_of.remove(&txn);
                 dest.voted.remove(&txn);
             }
         }
     }
 
-    /// Algorithm 2b steps 2–3: all votes collected — confirm commit or
-    /// abort to every destination and retire the transaction.
-    fn confirm(&mut self, cid: ClusterId, txn: TxnId, commit: bool) {
-        let leader_shard = self.hierarchy.cluster(cid).leader;
+    /// Algorithm 2b steps 2–3 at the cluster leader: all votes collected
+    /// — confirm commit or abort to every destination and retire the
+    /// transaction.
+    fn confirm<O: Outbox<Msg>>(
+        &mut self,
+        cid: ClusterId,
+        txn: TxnId,
+        commit: bool,
+        io: &mut ShardIo<'_, O>,
+    ) {
         let st = self.leaders.get_mut(&cid).expect("cluster exists");
         let entry = st.sch_ldr.remove(&txn).expect("entry exists");
         if st.sch_ldr.is_empty() && st.incoming.is_empty() {
             self.active.remove(&cid);
         }
         self.txn_cluster.remove(&txn);
-        let now = self.now;
         let mut worst = 1;
         for dest in entry.txn.shards() {
-            worst = worst.max(self.net.distance(leader_shard, dest).max(1));
-            self.net
-                .send(leader_shard, dest, now, Msg::Confirm { txn, commit });
+            worst = worst.max(io.out.delay(dest));
+            io.out.send(dest, Msg::Confirm { txn, commit });
         }
-        self.outstanding = self.outstanding.saturating_sub(1);
-        let commit_round = now.plus(worst);
-        if commit {
-            self.collector
-                .record_commit(entry.txn.generated, commit_round, entry.txn.home);
-            self.committed_log.push((commit_round, txn));
-        } else {
-            self.collector.record_abort();
+        self.resolved += 1;
+        io.events.push(CommitEvent {
+            round: self.now,
+            generated: entry.txn.generated,
+            commit_round: Round(self.now + worst),
+            txn,
+            home: entry.txn.home,
+            committed: commit,
+        });
+    }
+}
+
+impl ProtocolNode for FdsNode {
+    type Msg = Msg;
+    type Sample = FdsSample;
+
+    fn msg_bytes(m: &Msg) -> usize {
+        match m {
+            Msg::ToLeader { txn } => txn.approx_bytes(),
+            Msg::Schedule { sub, .. } => 28 + sub.approx_bytes(),
+            Msg::Vote { .. } | Msg::Confirm { .. } => 17,
         }
     }
 
-    /// Finalizes into a [`RunReport`].
-    pub fn finish(self) -> RunReport {
-        let pending = self.outstanding;
-        let epochs = self.now.raw() / self.e0;
+    fn inject(&mut self, txn: Transaction) {
+        self.injected += 1;
+        let (cid, x) = self.home_cluster(&txn);
+        self.max_access_distance = self.max_access_distance.max(x);
+        self.outbox.push((cid, txn));
+    }
+
+    fn on_round<O: Outbox<Msg>>(
+        &mut self,
+        round: u64,
+        inbox: impl IntoIterator<Item = (ShardId, Msg)>,
+        mut io: ShardIo<'_, O>,
+    ) {
+        self.now = round;
+        // 1. Home side: forward outbox entries whose epoch starts now.
+        self.phase1_forward(io.out);
+        // 2. Delivery.
+        for (from, msg) in inbox {
+            self.handle(from, msg, &mut io);
+        }
+        // 3. Leader side: clusters at their coloring moment.
+        self.phase2_color_clusters(io.policy, io.out);
+        // 4. Destination side: vote for the next unvoted head.
+        self.vote_head(io.ledger, io.out);
+        // 5. Seal this round's commits into one block.
+        if !self.append_buf.is_empty() {
+            let batch = std::mem::take(&mut self.append_buf);
+            io.chain.append_block(batch, Round(round));
+        }
+    }
+
+    fn sample(&self, round: u64) -> FdsSample {
+        let (queue, active) = self.active.iter().fold((0u64, 0u64), |(t, n), cid| {
+            let st = &self.leaders[cid];
+            (t + (st.sch_ldr.len() + st.incoming.len()) as u64, n + 1)
+        });
+        FdsSample {
+            leader_queue: queue,
+            leader_active: active,
+            injected: self.injected,
+            resolved: self.resolved,
+            epoch: round / self.e0,
+        }
+    }
+
+    fn observe(
+        collector: &mut MetricsCollector,
+        samples: &[FdsSample],
+        byz: u64,
+        crashed: u64,
+    ) -> u64 {
+        let sum = |f: fn(&FdsSample) -> u64| samples.iter().map(f).sum::<u64>();
+        // The Figure 3 left panel plots the average pending *scheduled*
+        // transactions at cluster leaders: mean queue over active leaders.
+        let leader_avg = sum(|s| s.leader_queue) as f64 / sum(|s| s.leader_active).max(1) as f64;
+        let outstanding = sum(|s| s.injected).saturating_sub(sum(|s| s.resolved));
+        collector.sample_queue_value(leader_avg, outstanding);
+        // The timeline's epoch is the layer-0 epoch, matching the report's
+        // `epochs` quantity.
+        let epoch = samples.first().map_or(0, |s| s.epoch);
+        collector
+            .sink
+            .on_round(epoch, outstanding, byz, crashed, samples.len() as u64);
+        outstanding
+    }
+
+    fn epoch_stats(&self, rounds: u64) -> (u64, u64) {
         let top_epoch = self.e0 << (self.hierarchy.num_layers() as u64 - 1);
-        self.collector.finish(
-            SchedulerKind::Fds,
-            self.now.raw(),
-            self.generated,
-            pending,
-            epochs,
-            top_epoch,
-            self.net.sent_count(),
-            self.net.max_message_bytes(),
-        )
+        (rounds / self.e0, top_epoch)
+    }
+}
+
+/// The FDS simulator: one [`FdsNode`] per shard, stepped in shard order
+/// over one [`simnet::Network`]. Drive with [`NodeSim::step`] once per
+/// round.
+pub type FdsSim = NodeSim<FdsNode>;
+
+impl NodeSim<FdsNode> {
+    /// Creates an FDS simulation over `metric`.
+    pub fn new(
+        sys: &SystemConfig,
+        map: &AccountMap,
+        fcfg: FdsConfig,
+        metric: &dyn ShardMetric,
+    ) -> Self {
+        sys.validate().expect("valid system config");
+        assert_eq!(metric.shards(), sys.shards);
+        let nodes = FdsNode::system(&fcfg, metric);
+        // Every cluster leader plans through the same coloring code path
+        // BDS's leader uses.
+        let policy = ColoringPolicy::new(SchedulerKind::Fds, fcfg.coloring, sys.accounts);
+        NodeSim::from_nodes(metric, map, fcfg.initial_balance, nodes, Box::new(policy))
+    }
+
+    /// Base epoch length `E_0`.
+    pub fn e0(&self) -> u64 {
+        self.nodes[0].e0
+    }
+
+    /// The cluster hierarchy in use.
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.nodes[0].hierarchy
+    }
+
+    /// Worst access distance `d` seen so far (for Theorem 3 comparisons).
+    pub fn max_access_distance(&self) -> u64 {
+        self.nodes
+            .iter()
+            .map(|n| n.max_access_distance)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -786,20 +742,9 @@ pub fn run_fds_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::small_system as small_sys;
     use adversary::{Adversary, StrategyKind};
     use sharding_core::stats::StabilityVerdict;
-
-    fn small_sys() -> (SystemConfig, AccountMap) {
-        let sys = SystemConfig {
-            shards: 8,
-            accounts: 8,
-            k_max: 3,
-            nodes_per_shard: 4,
-            faulty_per_shard: 1,
-        };
-        let map = AccountMap::round_robin(&sys);
-        (sys, map)
-    }
 
     #[test]
     fn single_txn_commits() {

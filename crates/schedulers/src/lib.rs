@@ -22,6 +22,10 @@
 //!   fixed-priority, work-stealing greedy, and a speculative scheduler
 //!   that colors a predicted conflict set and repairs mispredictions.
 //!   None carries a stability proof; all are safe and deterministic.
+//! * [`node`] — the contract between a per-shard protocol node
+//!   ([`BdsNode`], [`FdsNode`]: each protocol written once, with no I/O
+//!   of its own) and the two transports that drive it — the simulators
+//!   here and the networked engine in `runtime`.
 //! * [`metrics`] — the per-run measurement report shared by all
 //!   schedulers: queue-size series, latency distribution, commit counts,
 //!   epoch statistics, and the stability verdict.
@@ -39,14 +43,16 @@ pub mod driver;
 pub mod fds;
 pub mod history;
 pub mod metrics;
+pub mod node;
 pub mod scheduler;
 pub mod testkit;
 pub mod zoo;
 
 pub use baseline::{run_fcfs, FcfsConfig, FcfsSim};
-pub use bds::{run_bds, run_bds_with_metric, BdsConfig, BdsSim};
-pub use driver::{drive, drive_with, RoundDriver};
-pub use fds::{run_fds, FdsConfig, FdsSim};
+pub use bds::{run_bds, run_bds_with_metric, BdsConfig, BdsNode, BdsSim};
+pub use driver::{drive, RoundDriver};
+pub use fds::{run_fds, FdsConfig, FdsNode, FdsSim};
 pub use history::{check_cross_shard_order, OrderViolation};
 pub use metrics::{RunReport, SchedulerKind};
+pub use node::{CommitEvent, NodeSim, Outbox, ProtocolNode, ShardIo};
 pub use scheduler::{ColoringPolicy, EpochPlan, Scheduler};

@@ -178,7 +178,7 @@ fn networked_runtime_agrees_with_simulator_on_paper_shape() {
         seed: 41,
         ..Default::default()
     };
-    let net = blockshard::runtime::run_net_bds(
+    let net = blockshard::runtime::run_net_sched(
         &sys,
         &map,
         &adv,
@@ -186,6 +186,9 @@ fn networked_runtime_agrees_with_simulator_on_paper_shape() {
         &UniformMetric::new(sys.shards),
         Default::default(),
         &blockshard::simnet::FaultPlan::default(),
+        blockshard::schedulers::SchedulerKind::Bds,
+        sys.shards,
+        false,
     );
     let sim = blockshard::schedulers::bds::run_bds(&sys, &map, &adv, Round(700));
     assert_eq!(net.report.summary(), sim.summary(), "full report parity");
