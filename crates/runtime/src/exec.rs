@@ -72,6 +72,11 @@ pub fn run_lockstep<C, F>(
                 loop {
                     let mut progressed = false;
                     let mut all_done = true;
+                    // A round found not runnable in this sweep is not
+                    // rescanned for the other shards waiting on it: an
+                    // O(s) scan per waiting shard makes a waiting sweep
+                    // O(s²), which stalls wide runs for seconds.
+                    let mut blocked = u64::MAX;
                     for k in 0..s {
                         let i = (w + k) % s;
                         let r = gate.watermark(i);
@@ -80,7 +85,8 @@ pub fn run_lockstep<C, F>(
                         }
                         all_done = false;
                         if r >= known_ready {
-                            if !gate.ready(r) {
+                            if r == blocked || !gate.ready(r) {
+                                blocked = r;
                                 continue;
                             }
                             known_ready = r + 1;

@@ -12,25 +12,52 @@
 //! in the drivers only has to guarantee that round `r - 1`'s sends are
 //! enqueued before round `r` is drained.
 //!
-//! Unlike its locked predecessor (a mutex + `BTreeMap` per destination,
-//! taken once per *message*), the hub holds one lock-free SPSC
-//! [ring] per **directed link**: the sender's [`ShardPort`]
-//! owns the `s` producer endpoints of its row, the receiver's
-//! [`NetInbox`] owns the `s` consumer endpoints of its column, and a
-//! whole round is handed off batched — the inbox pops every incoming
-//! ring once per round, parks early arrivals in a ring-of-rounds wheel
-//! indexed by `deliver_at mod wheel size`, and sorts the due bucket by
-//! `(sender, seq)`. No mutex is on the per-message path; the only locks
-//! left are the rings' spill queues (touched when a ring overflows,
-//! never required for correctness) and the one-time endpoint hand-out.
+//! The per-round cost follows the traffic, not the `s²` possible links:
+//!
+//! * **Links are created on first send.** Building a hub allocates no
+//!   ring. The first message a [`ShardPort`] pushes to `to` creates the
+//!   `(from, to)` lock-free SPSC [ring]; the port keeps the producer end
+//!   and hands the consumer end to `to`'s [`NetInbox`] through a
+//!   per-destination hand-off list. A protocol whose transactions touch
+//!   `k` of `s` shards uses `O(s·k)` links, and only those exist.
+//! * **Producers mark which rings to visit.** The hub keeps one bitmap
+//!   of `⌈s/64⌉` words per destination; bit `from` of `to`'s bitmap
+//!   means "`from` pushed something `to` has not drained". A drain skips
+//!   zero words with one plain load, `swap`s each nonzero word to zero
+//!   and drains only the marked rings. Due messages go to the caller,
+//!   early arrivals are parked in a ring-of-rounds wheel indexed by
+//!   `deliver_at mod wheel size`, and the due bucket is sorted by
+//!   `(sender, seq)`.
+//!
+//! Why a drain never misses a message due at its round:
+//!
+//! * A send marks with an unconditional `fetch_or(Release)` *after* its
+//!   pushes, and the drain clears with `swap(0, Acquire)`. Both are
+//!   read-modify-writes, so they sit in one modification order on the
+//!   word: either the swap reads the bit — and then sees the push — or
+//!   the mark lands after the swap and stays set for the next drain. A
+//!   "load, skip if already set" shortcut would break this: the sender
+//!   could read the old bit while the consumer clears it and drains
+//!   before the push is visible, stranding the message.
+//! * Every round `r - 1` mark precedes its sender's `Release` watermark
+//!   store in the round gate, which the drainer of round `r` `Acquire`s.
+//!   So the plain load that skips a word cannot read a value older than
+//!   those marks.
+//! * A new link's consumer end enters the hand-off list before the first
+//!   mark for it, so an inbox that finds a marked sender with no ring
+//!   finds the ring in the list.
+//!
+//! No mutex is on the per-message path; the only locks are the rings'
+//! spill queues (touched when a ring overflows, never required for
+//! correctness) and the hand-off lists (once per link).
 //!
 //! Counter accounting is sender-local for the same reason: each port
 //! tallies `sent` / bytes / drops / duplicates in plain integers and
 //! flushes them into the hub's shared atomics on drop (or an explicit
 //! [`ShardPort::flush`]), so the hot path performs no shared
-//! read-modify-write either. Hub-level counts are therefore complete
-//! once the shard threads have finished — exactly when the drivers read
-//! them.
+//! read-modify-write beyond the mark. Hub-level counts are therefore
+//! complete once the shard threads have finished — exactly when the
+//! drivers read them.
 
 use crate::ring::{self, RingConsumer, RingProducer};
 use cluster::ShardMetric;
@@ -38,7 +65,7 @@ use parking_lot::Mutex;
 use sharding_core::ShardId;
 use simnet::faults::{FaultDecision, FaultPlan, LinkBank};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A delivered message: sender plus the sender-local sequence number used
 /// as the deterministic tie-break.
@@ -77,22 +104,40 @@ impl std::fmt::Display for HubError {
 
 impl std::error::Error for HubError {}
 
-/// The sender-side endpoints of one shard's outgoing links, handed out
-/// once to its [`ShardPort`].
-struct PortHalf<P> {
-    /// Producer of the `(from, to)` ring, indexed by `to`.
-    rings: Vec<RingProducer<Queued<P>>>,
+/// One endpoint's ends of its existing links, looked up by peer: an
+/// `s`-entry index into a dense vector holding only the links in use.
+struct Links<E> {
+    /// `index[peer]` is the position of `peer`'s end in `ends`, or
+    /// `u32::MAX` while the link does not exist.
+    index: Vec<u32>,
+    ends: Vec<E>,
 }
 
-/// The receiver-side endpoints of one shard's incoming links, handed out
-/// once to its [`NetInbox`].
-struct InboxHalf<P> {
-    /// Consumer of the `(from, to)` ring, indexed by `from`.
-    rings: Vec<RingConsumer<Queued<P>>>,
+impl<E> Links<E> {
+    fn new(shards: usize) -> Self {
+        Links {
+            index: vec![u32::MAX; shards],
+            ends: Vec::new(),
+        }
+    }
+
+    fn get(&mut self, peer: ShardId) -> Option<&mut E> {
+        // A missing link's `u32::MAX` is out of range of `ends`.
+        self.ends.get_mut(self.index[peer.index()] as usize)
+    }
+
+    fn insert(&mut self, peer: ShardId, end: E) {
+        debug_assert_eq!(self.index[peer.index()], u32::MAX, "link exists");
+        self.index[peer.index()] = self.ends.len() as u32;
+        self.ends.push(end);
+    }
 }
+
+/// A link's sender and the consumer end its inbox has yet to adopt.
+type NewLink<P> = (ShardId, RingConsumer<Queued<P>>);
 
 /// The shared delivery plane. One instance per run, referenced by every
-/// shard thread; see the module docs for the ring layout.
+/// shard thread; see the module docs for the link and bitmap protocol.
 pub struct NetHub<P> {
     /// Distance matrix snapshot (row-major).
     dist: Vec<u64>,
@@ -101,11 +146,21 @@ pub struct NetHub<P> {
     /// Wheel size for the inboxes: smallest power of two that covers the
     /// live delivery window `[round, round + max_delay]`.
     wheel_len: u64,
-    /// Un-taken sender halves, indexed by shard; `ShardPort::new` takes
-    /// each exactly once (the SPSC contract, enforced at runtime).
-    ports: Vec<Mutex<Option<PortHalf<P>>>>,
-    /// Un-taken receiver halves, ditto for `NetInbox::new`.
-    inboxes: Vec<Mutex<Option<InboxHalf<P>>>>,
+    /// Slot count of every link ring, fixed at build time.
+    capacity: usize,
+    /// Bitmap words per destination: `⌈s/64⌉`.
+    words: usize,
+    /// `words` words per destination, row `to`: bit `from` is set by
+    /// `from`'s port after a push and cleared by `to`'s inbox before it
+    /// drains that ring.
+    marks: Vec<AtomicU64>,
+    /// Per destination: consumer ends of links created since its inbox
+    /// last looked.
+    new_links: Vec<Mutex<Vec<NewLink<P>>>>,
+    /// Whether each shard's port / inbox was taken: each exists exactly
+    /// once (the SPSC contract, enforced at runtime).
+    ports_taken: Vec<AtomicBool>,
+    inboxes_taken: Vec<AtomicBool>,
     sent: AtomicU64,
     bytes_sent: AtomicU64,
     max_message_bytes: AtomicU64,
@@ -114,10 +169,9 @@ pub struct NetHub<P> {
     spilled: AtomicU64,
 }
 
-/// Default per-link ring capacity: scaled down as the link count grows
-/// quadratically, so the slot arrays stay a few megabytes even at 256
-/// shards. Overflow is handled by the spill path, so this is purely a
-/// throughput knob.
+/// Default per-link ring capacity: a wider system spreads each round's
+/// traffic over more links, so each link gets fewer slots. Overflow is
+/// handled by the spill path, so this is purely a throughput knob.
 fn default_capacity(shards: usize) -> usize {
     (2048 / shards.max(1)).clamp(4, 128)
 }
@@ -155,30 +209,19 @@ impl<P> NetHub<P> {
         // — max_delay + 1 distinct slots. One extra slot of slack keeps
         // the wheel collision-free even at the window edge.
         let wheel_len = (max_delay + 2).next_power_of_two();
-        let mut ports: Vec<PortHalf<P>> = (0..s)
-            .map(|_| PortHalf {
-                rings: Vec::with_capacity(s),
-            })
-            .collect();
-        let mut inboxes: Vec<InboxHalf<P>> = (0..s)
-            .map(|_| InboxHalf {
-                rings: Vec::with_capacity(s),
-            })
-            .collect();
-        for port in &mut ports {
-            for inbox in &mut inboxes {
-                let (producer, consumer) = ring::spsc(capacity);
-                port.rings.push(producer);
-                inbox.rings.push(consumer);
-            }
-        }
+        let words = s.div_ceil(64);
+        let flags = || (0..s).map(|_| AtomicBool::new(false)).collect();
         Ok(NetHub {
             dist,
             shards: s,
             sizer,
             wheel_len,
-            ports: ports.into_iter().map(|h| Mutex::new(Some(h))).collect(),
-            inboxes: inboxes.into_iter().map(|h| Mutex::new(Some(h))).collect(),
+            capacity,
+            words,
+            marks: (0..s * words).map(|_| AtomicU64::new(0)).collect(),
+            new_links: (0..s).map(|_| Mutex::new(Vec::new())).collect(),
+            ports_taken: flags(),
+            inboxes_taken: flags(),
             sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
             max_message_bytes: AtomicU64::new(0),
@@ -235,6 +278,19 @@ impl<P> NetHub<P> {
     pub fn spilled_count(&self) -> u64 {
         self.spilled.load(Ordering::Relaxed)
     }
+
+    /// `to`'s activity bitmap.
+    fn marks_of(&self, to: ShardId) -> &[AtomicU64] {
+        &self.marks[to.index() * self.words..][..self.words]
+    }
+}
+
+/// Claims `shard`'s one-time endpoint in `taken`.
+fn take_once(taken: &[AtomicBool], shard: ShardId, what: &str) {
+    assert!(
+        !taken[shard.index()].swap(true, Ordering::Relaxed),
+        "{what}::new called twice for one shard"
+    );
 }
 
 /// One shard thread's sending endpoint: the producer side of its
@@ -244,10 +300,11 @@ pub struct ShardPort<'h, P> {
     hub: &'h NetHub<P>,
     from: ShardId,
     seq: u64,
-    rings: Vec<RingProducer<Queued<P>>>,
-    links: LinkBank,
-    /// `max(1, d(from, to))`, premultiplied per destination.
-    delay: Vec<u64>,
+    /// Producer ends of the links this port has sent on, by destination.
+    rings: Links<RingProducer<Queued<P>>>,
+    /// This port's row of the hub's distance matrix.
+    dist: &'h [u64],
+    faults: LinkBank,
     sent: u64,
     bytes_sent: u64,
     max_message_bytes: u64,
@@ -259,7 +316,7 @@ pub struct ShardPort<'h, P> {
 }
 
 impl<'h, P> ShardPort<'h, P> {
-    /// Takes the sender half of `from`'s links. An inert plan disables
+    /// Takes the sender endpoint of shard `from`. An inert plan disables
     /// the fault path entirely.
     ///
     /// # Panics
@@ -267,16 +324,12 @@ impl<'h, P> ShardPort<'h, P> {
     /// If the port for `from` was already taken — each shard's producer
     /// endpoints exist exactly once (the SPSC soundness contract).
     pub fn new(hub: &'h NetHub<P>, from: ShardId, plan: &FaultPlan) -> Self {
-        let half = hub.ports[from.index()]
-            .lock()
-            .take()
-            .expect("ShardPort::new called twice for one shard");
+        take_once(&hub.ports_taken, from, "ShardPort");
+        let s = hub.shards;
         ShardPort {
-            links: LinkBank::new(plan, from, hub.shards),
-            delay: (0..hub.shards)
-                .map(|to| hub.distance(from, ShardId(to as u32)).max(1))
-                .collect(),
-            rings: half.rings,
+            faults: LinkBank::new(plan, from, s),
+            dist: &hub.dist[from.index() * s..][..s],
+            rings: Links::new(s),
             hub,
             from,
             seq: 0,
@@ -300,7 +353,7 @@ impl<'h, P> ShardPort<'h, P> {
             .fetch_max(self.max_message_bytes, Ordering::Relaxed);
         hub.dropped.fetch_add(self.dropped, Ordering::Relaxed);
         hub.duplicated.fetch_add(self.duplicated, Ordering::Relaxed);
-        let spilled: u64 = self.rings.iter().map(RingProducer::spilled).sum();
+        let spilled: u64 = self.rings.ends.iter().map(RingProducer::spilled).sum();
         hub.spilled
             .fetch_add(spilled - self.spilled_reported, Ordering::Relaxed);
         self.spilled_reported = spilled;
@@ -315,7 +368,7 @@ impl<'h, P> ShardPort<'h, P> {
 impl<'h, P: Clone> ShardPort<'h, P> {
     /// Rounds until a message sent now reaches `to`: `max(1, d(from, to))`.
     pub fn delay(&self, to: ShardId) -> u64 {
-        self.delay[to.index()]
+        self.dist[to.index()].max(1)
     }
 
     /// Sends `payload` to `to` at round `now`, honoring metric delay and
@@ -323,18 +376,26 @@ impl<'h, P: Clone> ShardPort<'h, P> {
     /// `simnet::Network`: a dropped message still consumes one sequence
     /// number, a duplicated one consumes two.
     pub fn send(&mut self, to: ShardId, now: u64, payload: P) {
-        let bytes = (self.hub.sizer)(&payload) as u64;
+        let hub = self.hub;
+        let bytes = (hub.sizer)(&payload) as u64;
         self.sent += 1;
         self.bytes_sent += bytes;
         self.max_message_bytes = self.max_message_bytes.max(bytes);
-        let decision = self.links.decide(to);
+        let decision = self.faults.decide(to);
         if decision == FaultDecision::Drop {
             self.seq += 1;
             self.dropped += 1;
             return;
         }
-        let deliver_at = now + self.delay[to.index()];
-        let ring = &mut self.rings[to.index()];
+        let deliver_at = now + self.delay(to);
+        if self.rings.get(to).is_none() {
+            let (producer, consumer) = ring::spsc(hub.capacity);
+            // Hand the consumer end over before the mark below can send
+            // the inbox looking for it.
+            hub.new_links[to.index()].lock().push((self.from, consumer));
+            self.rings.insert(to, producer);
+        }
+        let ring = self.rings.get(to).expect("link exists");
         if decision == FaultDecision::Duplicate {
             self.duplicated += 1;
             // Clone only the extra fault-plane duplicate; the common
@@ -358,6 +419,10 @@ impl<'h, P: Clone> ShardPort<'h, P> {
             },
         });
         self.seq += 1;
+        // Unconditional read-modify-write after the pushes; see the
+        // module docs for why skipping an already-set bit is unsound.
+        let from = self.from.index();
+        hub.marks_of(to)[from / 64].fetch_or(1 << (from % 64), Ordering::Release);
     }
 }
 
@@ -370,9 +435,11 @@ impl<P> Drop for ShardPort<'_, P> {
 /// One shard thread's receiving endpoint: the consumer side of its
 /// incoming rings plus the ring-of-rounds wheel that parks early
 /// arrivals until their delivery round.
-pub struct NetInbox<P> {
+pub struct NetInbox<'h, P> {
+    hub: &'h NetHub<P>,
     to: ShardId,
-    rings: Vec<RingConsumer<Queued<P>>>,
+    /// Consumer ends of the links adopted so far, by sender.
+    rings: Links<RingConsumer<Queued<P>>>,
     /// `wheel[deliver_at & mask]` holds envelopes due at `deliver_at`,
     /// valid because the gate keeps the live window narrower than the
     /// wheel (see `NetHub::with_capacity`).
@@ -382,27 +449,28 @@ pub struct NetInbox<P> {
     /// *not* round-lockstep (tests that send many rounds ahead before
     /// draining); keeps correctness independent of wheel sizing.
     overflow: BTreeMap<u64, Vec<NetEnvelope<P>>>,
+    ring_visits: u64,
 }
 
-impl<P> NetInbox<P> {
-    /// Takes the receiver half of `to`'s links. The inbox holds its own
-    /// ends of the rings, so it does not borrow the hub.
+impl<'h, P> NetInbox<'h, P> {
+    /// Takes the receiver endpoint of shard `to`. The inbox borrows the
+    /// hub: it reads `to`'s activity bitmap and adopts new links from
+    /// the hub's hand-off list.
     ///
     /// # Panics
     ///
     /// If the inbox for `to` was already taken — each shard's consumer
     /// endpoints exist exactly once (the SPSC soundness contract).
-    pub fn new(hub: &NetHub<P>, to: ShardId) -> Self {
-        let half = hub.inboxes[to.index()]
-            .lock()
-            .take()
-            .expect("NetInbox::new called twice for one shard");
+    pub fn new(hub: &'h NetHub<P>, to: ShardId) -> Self {
+        take_once(&hub.inboxes_taken, to, "NetInbox");
         NetInbox {
+            hub,
             to,
-            rings: half.rings,
+            rings: Links::new(hub.shards),
             wheel: (0..hub.wheel_len).map(|_| Vec::new()).collect(),
             mask: hub.wheel_len - 1,
             overflow: BTreeMap::new(),
+            ring_visits: 0,
         }
     }
 
@@ -411,41 +479,64 @@ impl<P> NetInbox<P> {
         self.to
     }
 
+    /// Rings drained so far: one per marked sender per drain. It never
+    /// exceeds the pushes this inbox was sent, and an idle inbox visits
+    /// none. With senders running concurrently, whether two pushes share
+    /// one visit depends on when their marks land, so only single-thread
+    /// drives give an exact count.
+    pub fn ring_visits(&self) -> u64 {
+        self.ring_visits
+    }
+
     /// Collects into `out` (cleared first) every message due for `round`,
     /// sorted by `(sender, sender-sequence)`.
     ///
-    /// One pass pops everything currently published on the incoming
-    /// rings: messages due now go straight to `out`, earlier-than-needed
-    /// arrivals are parked in the wheel (or the overflow map beyond the
-    /// wheel window) for a later drain. For the hand-out to be complete
-    /// the caller must ensure all sends of rounds `< round` happened
-    /// before this call — the drivers' round gate provides exactly that.
+    /// One pass pops everything currently published on the rings whose
+    /// senders are marked: messages due now go straight to `out`,
+    /// earlier-than-needed arrivals are parked in the wheel (or the
+    /// overflow map beyond the wheel window) for a later drain. For the
+    /// hand-out to be complete the caller must ensure all sends of rounds
+    /// `< round` happened before this call — the drivers' round gate
+    /// provides exactly that.
     pub fn drain_into(&mut self, round: u64, out: &mut Vec<NetEnvelope<P>>) {
         out.clear();
-        let NetInbox {
-            rings,
-            wheel,
-            overflow,
-            mask,
-            ..
-        } = self;
-        let mask = *mask;
-        for ring in rings.iter_mut() {
-            ring.drain_with(|q: Queued<P>| {
-                debug_assert!(q.deliver_at >= round, "missed a delivery round");
-                if q.deliver_at == round {
-                    out.push(q.env);
-                } else if q.deliver_at - round <= mask {
-                    wheel[(q.deliver_at & mask) as usize].push(q.env);
-                } else {
-                    overflow.entry(q.deliver_at).or_default().push(q.env);
+        let hub = self.hub;
+        let mask = self.mask;
+        for (w, word) in hub.marks_of(self.to).iter().enumerate() {
+            // A plain load suffices to skip: the gate orders every mark
+            // this drain must see before it (see the module docs).
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut bits = word.swap(0, Ordering::Acquire);
+            while bits != 0 {
+                let from = ShardId((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                if self.rings.get(from).is_none() {
+                    // The sender handed the consumer end over before
+                    // marking; adopt every link waiting for this inbox.
+                    for (sender, consumer) in hub.new_links[self.to.index()].lock().drain(..) {
+                        self.rings.insert(sender, consumer);
+                    }
                 }
-            });
+                let ring = self.rings.get(from).expect("marked link was handed over");
+                self.ring_visits += 1;
+                ring.drain_with(|q: Queued<P>| {
+                    debug_assert!(q.deliver_at >= round, "missed a delivery round");
+                    if q.deliver_at == round {
+                        out.push(q.env);
+                    } else if q.deliver_at - round <= mask {
+                        self.wheel[(q.deliver_at & mask) as usize].push(q.env);
+                    } else {
+                        self.overflow.entry(q.deliver_at).or_default().push(q.env);
+                    }
+                });
+            }
         }
-        let bucket = &mut wheel[(round & mask) as usize];
+        let bucket = &mut self.wheel[(round & mask) as usize];
         out.append(bucket);
-        if !overflow.is_empty() {
-            if let Some(late) = overflow.remove(&round) {
+        if !self.overflow.is_empty() {
+            if let Some(late) = self.overflow.remove(&round) {
                 out.extend(late);
             }
         }
@@ -541,6 +632,75 @@ mod tests {
         let inert = FaultPlan::default();
         let _first = ShardPort::new(&hub, ShardId(0), &inert);
         let _second = ShardPort::new(&hub, ShardId(0), &inert);
+    }
+
+    #[test]
+    #[should_panic(expected = "NetInbox::new called twice")]
+    fn second_inbox_for_one_shard_panics() {
+        let m = UniformMetric::new(2);
+        let hub: NetHub<u32> = NetHub::new(&m, sizer).unwrap();
+        let _first = NetInbox::new(&hub, ShardId(1));
+        let _second = NetInbox::new(&hub, ShardId(1));
+    }
+
+    #[test]
+    fn idle_inbox_visits_no_ring() {
+        let m = UniformMetric::new(8);
+        let hub: NetHub<u32> = NetHub::new(&m, sizer).unwrap();
+        let mut p = ShardPort::new(&hub, ShardId(0), &FaultPlan::default());
+        let mut busy = NetInbox::new(&hub, ShardId(1));
+        let mut idle = NetInbox::new(&hub, ShardId(2));
+        // Traffic elsewhere in the hub must not cost the idle inbox.
+        p.send(ShardId(1), 0, 1);
+        for round in 0..100 {
+            assert!(idle.drain(round).is_empty());
+        }
+        assert_eq!(idle.ring_visits(), 0);
+        assert_eq!(busy.drain(1).len(), 1);
+        assert_eq!(busy.ring_visits(), 1);
+    }
+
+    #[test]
+    fn wide_fresh_hub_builds_no_ring() {
+        // Ring-per-link up front would be about a million rings here.
+        let m = UniformMetric::new(1024);
+        let hub: NetHub<u32> = NetHub::new(&m, sizer).unwrap();
+        for to in 0..1024 {
+            let mut inbox = NetInbox::new(&hub, ShardId(to));
+            assert!(inbox.drain(0).is_empty());
+            assert_eq!(inbox.ring_visits(), 0, "inbox {to}");
+        }
+    }
+
+    #[test]
+    fn k_senders_cost_at_most_k_visits_per_drain() {
+        // Senders straddle the bitmap's word edges of a 130-shard hub.
+        let m = UniformMetric::new(130);
+        let hub: NetHub<u32> = NetHub::new(&m, sizer).unwrap();
+        let inert = FaultPlan::default();
+        let senders = [0u32, 1, 63, 64, 65, 127, 128, 129];
+        let k = senders.len() as u64;
+        let mut ports: Vec<ShardPort<u32>> = senders
+            .iter()
+            .map(|&f| ShardPort::new(&hub, ShardId(f), &inert))
+            .collect();
+        let mut inbox = NetInbox::new(&hub, ShardId(64));
+        for round in 0..20u64 {
+            for (i, port) in ports.iter_mut().enumerate() {
+                // Three messages per sender per round, on one link each.
+                for n in 0..3 {
+                    port.send(ShardId(64), round, (i * 3 + n) as u32);
+                }
+            }
+            let before = inbox.ring_visits();
+            let due = inbox.drain(round);
+            assert!(inbox.ring_visits() - before <= k, "round {round}");
+            if round > 0 {
+                assert_eq!(due.len() as u64, 3 * k, "round {round}");
+                let froms: Vec<u32> = due.iter().step_by(3).map(|e| e.from.raw()).collect();
+                assert_eq!(froms, senders, "sorted by sender across words");
+            }
+        }
     }
 
     #[test]

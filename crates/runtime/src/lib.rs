@@ -24,14 +24,16 @@
 //! deterministic in the plan seed, independent of thread interleaving,
 //! with injected-fault counters surfaced in `RunReport::faults`.
 //!
-//! The message plane is lock-free on the per-message path: each directed
-//! link owns one SPSC [ring] (sender thread produces, receiver
+//! The message plane is lock-free on the per-message path and costs
+//! each round in proportion to its traffic: a directed link gets its
+//! SPSC [ring] on its first send (sender thread produces, receiver
 //! thread consumes, two atomic cursors, an overflow spill so correctness
 //! never depends on ring sizing), and rounds are separated by a
 //! [watermark gate](sync::RoundGate) rather than a parking barrier.
 //! Receivers drain a whole round batched through a [`hub::NetInbox`]:
-//! pop every incoming ring once, park early arrivals in a ring-of-rounds
-//! wheel, sort the due bucket by `(sender, seq)`.
+//! visit only the rings whose senders marked the inbox's activity
+//! bitmap, park early arrivals in a ring-of-rounds wheel, sort the due
+//! bucket by `(sender, seq)`.
 //!
 //! The original reproduction hint suggests tokio for this variant; the
 //! approved offline dependency set does not include it, so the runtime

@@ -220,7 +220,7 @@ struct Slot<'h, N: ProtocolNode> {
     chain: LocalChain,
     policy: Box<dyn Scheduler>,
     port: ShardPort<'h, N::Msg>,
-    inbox: NetInbox<N::Msg>,
+    inbox: NetInbox<'h, N::Msg>,
     /// Reusable drain buffer.
     buf: Vec<NetEnvelope<N::Msg>>,
     pbft: PbftShard,

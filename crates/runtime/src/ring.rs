@@ -1,10 +1,10 @@
 //! A bounded single-producer / single-consumer ring buffer with an
 //! unbounded spill path — the lock-free lane of the message plane.
 //!
-//! Each directed shard link `(from, to)` owns one [`spsc`] pair: the
-//! sending thread holds the [`RingProducer`], the receiving thread the
-//! [`RingConsumer`], and the two communicate through a power-of-two slot
-//! array guarded only by two atomic cursors:
+//! Each directed shard link `(from, to)` that carries traffic owns one
+//! [`spsc`] pair: the sending thread holds the [`RingProducer`], the
+//! receiving thread the [`RingConsumer`], and the two communicate
+//! through a power-of-two slot array guarded only by two atomic cursors:
 //!
 //! ```text
 //!            tail (producer writes, Release)
@@ -22,10 +22,13 @@
 //!   fresh snapshot when its cached copy says the ring looks full.
 //! * The consumer owns slots `[head, tail)`: an `Acquire` load of `tail`
 //!   makes every published slot visible, the values are taken out, and a
-//!   single `Release` store of the new `head` hands the slots back.
+//!   single `Release` store of the new `head` hands the slots back. A
+//!   drain that took nothing from the slots stores nothing.
 //!
 //! Because each cursor has exactly one writer, no CAS loop or mutex is
-//! needed on the hot path — one atomic store per push, two per drain.
+//! needed on the hot path: one atomic store per push; per drain, two
+//! loads (`tail` and the spill count) and one store only when it took
+//! something.
 //!
 //! **Correctness never depends on sizing.** When the ring is full the
 //! producer diverts into a mutex-protected spill queue, and the consumer
@@ -179,7 +182,11 @@ impl<T> RingConsumer<T> {
             f(value.expect("published SPSC slot holds a value"));
             taken += 1;
         }
-        sh.head.0.store(self.head, Ordering::Release);
+        // An empty drain hands no slot back, so it writes nothing: the
+        // producer's cache line stays clean.
+        if taken > 0 {
+            sh.head.0.store(self.head, Ordering::Release);
+        }
         if sh.spill_len.load(Ordering::Acquire) > 0 {
             let mut q = sh.spill.lock();
             while let Some(value) = q.pop_front() {

@@ -13,6 +13,10 @@
 //! capacity-1 rings where every second push takes the mutexed spill lane
 //! — the claim that correctness never depends on ring sizing is only
 //! credible if the spill path is actually hammered under concurrency.
+//! A wide sparse shape (130 shards, three bitmap words per destination)
+//! makes most links appear mid-run, concurrently with their
+//! destination's drains. Every shape also checks that the inboxes' ring
+//! visits stay within the number of pushes.
 //!
 //! Seeding: the schedule/jitter seed defaults to a fixed constant and can
 //! be overridden with `BLOCKSHARD_STRESS_SEED=<u64>`, which is how CI's
@@ -79,17 +83,41 @@ fn fan_in_schedule(shards: usize, rounds: u64) -> Schedule {
         .collect()
 }
 
+/// A sparse schedule over a wide system: each shard sends one message
+/// to a random peer with probability 1/4 per round, so most of the
+/// `s²` links are first used mid-run, while their destination drains.
+/// The `edges` senders send every round, to keep bitmap word edges busy.
+fn sparse_schedule(seed: u64, shards: usize, rounds: u64, edges: &[usize]) -> Schedule {
+    let mut rng = seeded_rng(split_seed(seed, 0x5a25e));
+    let mut payload = 0u64;
+    (0..rounds)
+        .map(|_| {
+            (0..shards)
+                .map(|from| {
+                    if edges.contains(&from) || rng.gen_range(0u32..4) == 0 {
+                        payload += 1;
+                        vec![(ShardId(rng.gen_range(0..shards as u32)), payload)]
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Runs `schedule` through a threaded hub: one thread per shard, round
 /// lockstep via [`RoundGate::await_round`], jittered with seeded random
 /// yields. Returns each destination's delivery stream plus the hub's
-/// counters `(sent, dropped, duplicated, spilled)`.
+/// counters `(sent, dropped, duplicated, spilled)` and the ring visits
+/// summed over every inbox.
 fn threaded_run(
     metric: &dyn ShardMetric,
     plan: &FaultPlan,
     schedule: &Schedule,
     capacity: Option<usize>,
     jitter_seed: u64,
-) -> (Vec<Vec<Delivery>>, [u64; 4]) {
+) -> (Vec<Vec<Delivery>>, [u64; 5]) {
     let s = metric.shards();
     let rounds = schedule.len() as u64;
     let max_delay = (0..s)
@@ -110,12 +138,14 @@ fn threaded_run(
     let streams: Vec<parking_lot::Mutex<Vec<Delivery>>> = (0..s)
         .map(|_| parking_lot::Mutex::new(Vec::new()))
         .collect();
+    let visits = std::sync::atomic::AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for shard in 0..s {
             let hub = &hub;
             let gate = &gate;
             let streams = &streams;
+            let visits = &visits;
             scope.spawn(move || {
                 let id = ShardId(shard as u32);
                 let mut port = ShardPort::new(hub, id, plan);
@@ -140,6 +170,7 @@ fn threaded_run(
                     gate.complete(shard, round);
                 }
                 *streams[shard].lock() = seen;
+                visits.fetch_add(inbox.ring_visits(), std::sync::atomic::Ordering::Relaxed);
             });
         }
     });
@@ -149,6 +180,7 @@ fn threaded_run(
         hub.dropped_count(),
         hub.duplicated_count(),
         hub.spilled_count(),
+        visits.into_inner(),
     ];
     (
         streams.into_iter().map(|m| m.into_inner()).collect(),
@@ -200,7 +232,7 @@ fn assert_hub_matches_oracle(
     schedule: &Schedule,
     capacity: Option<usize>,
     label: &str,
-) -> [u64; 4] {
+) -> [u64; 5] {
     let seed = stress_seed();
     let (hub_streams, hub_counters) =
         threaded_run(metric, plan, schedule, capacity, split_seed(seed, 1));
@@ -214,6 +246,15 @@ fn assert_hub_matches_oracle(
     assert_eq!(hub_counters[0], oracle_counters[0], "{label}: sent");
     assert_eq!(hub_counters[1], oracle_counters[1], "{label}: dropped");
     assert_eq!(hub_counters[2], oracle_counters[2], "{label}: duplicated");
+    // Each ring visit consumes a mark, and each send marks at most once:
+    // the drain work is bounded by the traffic, not by the link count.
+    assert!(
+        hub_counters[4] <= hub_counters[0] + hub_counters[2],
+        "{label}: {} ring visits for {} sends and {} duplicates",
+        hub_counters[4],
+        hub_counters[0],
+        hub_counters[2]
+    );
 
     // Interleaving-independence: a different jitter universe must
     // observe the byte-identical streams.
@@ -301,4 +342,26 @@ fn two_shard_long_run_stays_exact() {
         Some(8),
         "uniform/2x1500/cap8",
     );
+}
+
+#[test]
+fn wide_sparse_links_appear_mid_run() {
+    // 130 shards: three bitmap words per destination, with senders 63/64
+    // and 127/128 on the word edges.
+    let metric = UniformMetric::new(130);
+    let schedule = sparse_schedule(
+        split_seed(stress_seed(), 19),
+        130,
+        40,
+        &[0, 63, 64, 127, 128, 129],
+    );
+    let counters = assert_hub_matches_oracle(
+        &metric,
+        &FaultPlan::default(),
+        &schedule,
+        None,
+        "uniform/130x40/sparse",
+    );
+    let sends: u64 = schedule.iter().flatten().map(|v| v.len() as u64).sum();
+    assert_eq!(counters[0], sends, "every scheduled send counted");
 }

@@ -245,10 +245,11 @@ fn micro_fixtures(opts: &BenchOpts) -> Vec<MicroFixture> {
     };
     let net_map = AccountMap::random(&net_sys, 1);
     // Scale sweep for the message plane: the same networked engine at
-    // 16, 64, and 256 shard threads. Rounds shrink as the width grows
-    // so each point costs roughly the same wall time — the interesting
-    // output is ns/round at each width, which exposes how the
-    // cooperative executor and the O(s) ring merge degrade as the
+    // 16, 64, 256 and 1024 shard threads. Rounds shrink as the width
+    // grows so each point costs roughly the same wall time — the
+    // interesting output is ns/round at each width, which exposes how
+    // the cooperative executor and the message plane (links made on
+    // first send, drains that visit only marked senders) scale as the
     // per-round work fans out.
     let net_scale = |name: &'static str, shards: usize, rounds: u64| -> MicroFixture {
         let sys = SystemConfig {
@@ -268,10 +269,10 @@ fn micro_fixtures(opts: &BenchOpts) -> Vec<MicroFixture> {
             scheduler: MicroScheduler::NetBds,
         }
     };
-    let (r16, r64, r256) = if opts.quick {
-        (400, 120, 40)
+    let (r16, r64, r256, r1024) = if opts.quick {
+        (400, 120, 40, 8)
     } else {
-        (1_200, 360, 120)
+        (1_200, 360, 120, 24)
     };
     // Reshard fixture: 16 active shards provisioned to 24, +8 join a
     // third of the way in, 12 retire at two thirds — so the timed loop
@@ -344,6 +345,7 @@ fn micro_fixtures(opts: &BenchOpts) -> Vec<MicroFixture> {
         net_scale("net_scale_16", 16, r16),
         net_scale("net_scale_64", 64, r64),
         net_scale("net_scale_256", 256, r256),
+        net_scale("net_scale_1024", 1024, r1024),
     ]
 }
 
