@@ -52,7 +52,7 @@
 //! correctness) and the hand-off lists (once per link).
 //!
 //! Counter accounting is sender-local for the same reason: each port
-//! tallies `sent` / bytes / drops / duplicates in plain integers and
+//! tallies sends / sizes / drops / duplicates in plain integers and
 //! flushes them into the hub's shared atomics on drop (or an explicit
 //! [`ShardPort::flush`]), so the hot path performs no shared
 //! read-modify-write beyond the mark. Hub-level counts are therefore
@@ -162,7 +162,6 @@ pub struct NetHub<P> {
     ports_taken: Vec<AtomicBool>,
     inboxes_taken: Vec<AtomicBool>,
     sent: AtomicU64,
-    bytes_sent: AtomicU64,
     max_message_bytes: AtomicU64,
     dropped: AtomicU64,
     duplicated: AtomicU64,
@@ -223,7 +222,6 @@ impl<P> NetHub<P> {
             ports_taken: flags(),
             inboxes_taken: flags(),
             sent: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
             max_message_bytes: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
@@ -251,11 +249,6 @@ impl<P> NetHub<P> {
     /// [`ShardPort::flush`]).
     pub fn sent_count(&self) -> u64 {
         self.sent.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes across attempted sends.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
     }
 
     /// Largest single payload observed.
@@ -306,7 +299,6 @@ pub struct ShardPort<'h, P> {
     dist: &'h [u64],
     faults: LinkBank,
     sent: u64,
-    bytes_sent: u64,
     max_message_bytes: u64,
     dropped: u64,
     duplicated: u64,
@@ -334,7 +326,6 @@ impl<'h, P> ShardPort<'h, P> {
             from,
             seq: 0,
             sent: 0,
-            bytes_sent: 0,
             max_message_bytes: 0,
             dropped: 0,
             duplicated: 0,
@@ -348,7 +339,6 @@ impl<'h, P> ShardPort<'h, P> {
     pub fn flush(&mut self) {
         let hub = self.hub;
         hub.sent.fetch_add(self.sent, Ordering::Relaxed);
-        hub.bytes_sent.fetch_add(self.bytes_sent, Ordering::Relaxed);
         hub.max_message_bytes
             .fetch_max(self.max_message_bytes, Ordering::Relaxed);
         hub.dropped.fetch_add(self.dropped, Ordering::Relaxed);
@@ -358,7 +348,6 @@ impl<'h, P> ShardPort<'h, P> {
             .fetch_add(spilled - self.spilled_reported, Ordering::Relaxed);
         self.spilled_reported = spilled;
         self.sent = 0;
-        self.bytes_sent = 0;
         self.max_message_bytes = 0;
         self.dropped = 0;
         self.duplicated = 0;
@@ -379,7 +368,6 @@ impl<'h, P: Clone> ShardPort<'h, P> {
         let hub = self.hub;
         let bytes = (hub.sizer)(&payload) as u64;
         self.sent += 1;
-        self.bytes_sent += bytes;
         self.max_message_bytes = self.max_message_bytes.max(bytes);
         let decision = self.faults.decide(to);
         if decision == FaultDecision::Drop {
@@ -711,10 +699,8 @@ mod tests {
         p.send(ShardId(1), 0, 7);
         p.flush();
         assert_eq!(hub.sent_count(), 1);
-        assert_eq!(hub.bytes_sent(), 4);
         drop(p); // must not double-count the flushed tallies
         assert_eq!(hub.sent_count(), 1);
-        assert_eq!(hub.bytes_sent(), 4);
         assert_eq!(hub.max_message_bytes(), 4);
     }
 

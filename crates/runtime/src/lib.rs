@@ -11,18 +11,17 @@
 //! which the simulators step from one loop. This crate is the other
 //! transport for the same nodes ([`net`]) — each shard's node runs in
 //! its own slot, owns only shard-local state, and exchanges messages
-//! through the [`hub::NetHub`] rings. Delivery order is pinned by
-//! per-sender sequence numbers and commit events are replayed in the
-//! simulator's order, so a fault-free networked run produces a
-//! `RunReport` **byte-identical** to the simulator's for the same
-//! inputs. `tests/differential.rs` enforces that equality field by
-//! field, including the floating-point latency and queue means.
-//!
-//! On top of that mirror sits the [`simnet::FaultPlan`] fault plane:
-//! seeded shard crashes, per-link message drop/duplication, and
-//! Byzantine vote flipping inside the per-round PBFT instances — all
-//! deterministic in the plan seed, independent of thread interleaving,
-//! with injected-fault counters surfaced in `RunReport::faults`.
+//! through the [`hub::NetHub`] rings. The fault path is shared too:
+//! crashes and the per-round PBFT instances with Byzantine vote
+//! flipping run in `schedulers::node::shard_round`, and the run is
+//! folded by `schedulers::node::RoundFold`. Delivery order is pinned by
+//! per-sender sequence numbers, the [`simnet::FaultPlan`]'s drops and
+//! duplicates come from per-link streams independent of thread
+//! interleaving, and commit events are replayed in the simulator's
+//! order, so a networked run produces a `RunReport` **byte-identical**
+//! to the simulator's for the same inputs and fault plan.
+//! `tests/differential.rs` enforces that equality field by field,
+//! including the floating-point latency and queue means.
 //!
 //! The message plane is lock-free on the per-message path and costs
 //! each round in proportion to its traffic: a directed link gets its

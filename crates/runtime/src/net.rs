@@ -3,27 +3,21 @@
 //! protocols.
 //!
 //! Each shard gets a slot: its node, ledger, chain and policy, its hub
-//! endpoints, its PBFT instance and its slice of the workload. The
+//! endpoints, its fault state and its slice of the workload. The
 //! cooperative claim executor ([`run_lockstep`]) runs the slots'
 //! rounds concurrently; shards communicate only through the
 //! [`NetHub`]'s lock-free link rings, and the [`RoundGate`] separates
 //! "all sends for round r are enqueued" from "round r+1 drains".
 //!
-//! The headline guarantee is differential: with an inert [`FaultPlan`],
-//! [`run_net`] returns a [`RunReport`] **byte-identical** to the
-//! simulator's on the same inputs — commits, latencies, queue series,
-//! message counts, verdict, everything (`tests/differential.rs` enforces
-//! it). The nodes are the simulator's own, inboxes arrive in the same
-//! `(sender, seq)` order, and the merge step replays the per-shard commit
-//! events in the simulator's global order — `(round, deciding shard,
-//! index)` — so even the floating-point latency accumulation is
-//! bit-equal.
-//!
-//! With a non-inert fault plan the run stays deterministic (fault
-//! decisions are per-link ChaCha streams, independent of thread
-//! interleaving) but the protocol is allowed to degrade: crashed shards
-//! freeze, dropped ballots strand transactions as forever-pending, and
-//! the injected-fault counters surface in [`RunReport::faults`].
+//! This module keeps only the transport: hub endpoints, the pregenerated
+//! workload and the executor. The shard round, faults included, is the
+//! simulator's [`shard_round`]; the run is replayed through its
+//! [`RoundFold`] in the order `(round, deciding shard, index)`. Inboxes
+//! arrive in the same `(sender, seq)` order and drops and duplicates
+//! come from the same per-link streams, whatever the thread interleaving,
+//! so [`run_net`] returns a [`RunReport`] **byte-identical** to the
+//! simulator's for the same inputs and [`FaultPlan`]
+//! (`tests/differential.rs` enforces it).
 
 use crate::exec::run_lockstep;
 use crate::hub::{NetEnvelope, NetHub, NetInbox, ShardPort};
@@ -31,17 +25,14 @@ use crate::sync::RoundGate;
 use adversary::{Adversary, AdversaryConfig, RoundSource};
 use cluster::ShardMetric;
 use parking_lot::Mutex;
-use schedulers::metrics::MetricsCollector;
-use schedulers::node::epoch_stats;
+use schedulers::node::{shard_round, PlaneTotals, RoundFold, ShardFaults, Tick};
 use schedulers::{
     BdsConfig, BdsNode, ColoringPolicy, CommitEvent, FdsConfig, FdsNode, Outbox, ProtocolNode,
     RunReport, Scheduler, SchedulerKind, ShardIo,
 };
 use sharding_core::{AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction, TxnId};
-use simnet::faults::{FaultCounters, FaultPlan};
-use simnet::pbft::{ConsensusOutcome, PbftShard};
+use simnet::faults::FaultPlan;
 use simnet::{LocalChain, ShardLedger};
-use std::sync::Arc;
 
 /// Which protocol a networked run executes.
 #[derive(Debug, Clone, Copy)]
@@ -68,7 +59,8 @@ pub struct NetRun<'a> {
     pub metric: &'a dyn ShardMetric,
     /// The protocol and its configuration.
     pub protocol: Protocol,
-    /// Injected faults (inert for a run byte-identical to the simulator's).
+    /// Injected faults (the simulator's run under the same plan is
+    /// byte-identical).
     pub faults: &'a FaultPlan,
     /// Executor threads; the result is identical for any `workers >= 1`.
     pub workers: usize,
@@ -84,8 +76,7 @@ pub struct NetRun<'a> {
 /// commit log for round-for-round cross-validation.
 #[derive(Debug, Clone)]
 pub struct NetOutcome {
-    /// The standard per-run report (byte-identical to the simulator's on
-    /// fault-free runs, fault counters filled in otherwise).
+    /// The standard per-run report (byte-identical to the simulator's).
     pub report: RunReport,
     /// `(commit round, txn)` in global decision order.
     pub committed_log: Vec<(Round, TxnId)>,
@@ -108,24 +99,16 @@ pub fn run_net(run: &NetRun<'_>, source: &mut dyn RoundSource) -> NetOutcome {
     assert_eq!(run.metric.shards(), sys.shards);
     run.faults.validate(sys.shards).expect("valid fault plan");
     let s = sys.shards;
-    let fault_free = run.faults.is_inert();
     let (inject, generated) = pregenerate(source, s, run.rounds.raw());
     match run.protocol {
         Protocol::EpochHosted(kind, bcfg) => {
-            let mut nodes = BdsNode::system(&bcfg, run.metric, fault_free);
+            let mut nodes = BdsNode::system(&bcfg, run.metric, true);
             if let Some(plan) = run.reshard {
-                assert_eq!(
-                    plan.s_max, s,
-                    "system must be provisioned for the plan's s_max"
-                );
                 // A crashed shard losing a balance handoff is
                 // unrecoverable state loss; the scenario layer rejects
                 // the combination.
-                assert!(fault_free, "resharding requires a fault-free run");
-                let plan = Arc::new(plan.clone());
-                for node in &mut nodes {
-                    node.set_reshard(Arc::clone(&plan));
-                }
+                assert!(run.faults.is_inert(), "resharding needs a fault-free run");
+                BdsNode::arm_reshard(&mut nodes, plan.clone());
             }
             let policy = || {
                 kind.epoch_policy(bcfg.coloring, sys.accounts, s)
@@ -216,6 +199,7 @@ impl<M: Clone> Outbox<M> for PortOutbox<'_, '_, M> {
 /// the claim executor.
 struct Slot<'h, N: ProtocolNode> {
     node: N,
+    faults: ShardFaults,
     ledger: ShardLedger,
     chain: LocalChain,
     policy: Box<dyn Scheduler>,
@@ -223,20 +207,15 @@ struct Slot<'h, N: ProtocolNode> {
     inbox: NetInbox<'h, N::Msg>,
     /// Reusable drain buffer.
     buf: Vec<NetEnvelope<N::Msg>>,
-    pbft: PbftShard,
     /// This shard's injections, per round.
     inject: Vec<Vec<Transaction>>,
-    crash_at: Option<u64>,
     events: Vec<CommitEvent>,
-    /// Per round: the node's sample, the cumulative Byzantine flips, and
-    /// whether the shard is crashed.
-    ticks: Vec<(N::Sample, u64, bool)>,
-    counters: FaultCounters,
+    ticks: Vec<Tick<N::Sample>>,
 }
 
 /// Runs `nodes` (index = shard, each with its own `policy()`) for the
-/// run's rounds, then merges the per-shard results into the outcome,
-/// reported under the policy's kind.
+/// run's rounds, then replays the per-shard ticks and events through the
+/// shared fold, reported under the policy's kind.
 fn drive<N: ProtocolNode>(
     run: &NetRun<'_>,
     initial_balance: u64,
@@ -254,76 +233,53 @@ fn drive<N: ProtocolNode>(
         .into_iter()
         .zip(inject)
         .enumerate()
-        .map(|(shard, (node, inject))| {
+        .map(|(shard, (mut node, inject))| {
             let id = ShardId(shard as u32);
+            let mut faults = ShardFaults::new(id, run.sys);
+            faults.arm(&mut node, run.faults);
             Mutex::new(Slot {
                 node,
+                faults,
                 ledger: ShardLedger::new(id, run.map, initial_balance),
                 chain: LocalChain::new(id),
                 policy: policy(),
                 port: ShardPort::new(&hub, id, run.faults),
                 inbox: NetInbox::new(&hub, id),
                 buf: Vec::new(),
-                pbft: PbftShard::new(id, run.sys.nodes_per_shard, run.sys.faulty_per_shard)
-                    .expect("validated config"),
                 inject,
-                crash_at: run.faults.crash_round(id).map(|r| r.raw()),
                 events: Vec::new(),
                 ticks: Vec::with_capacity(total as usize),
-                counters: FaultCounters::default(),
             })
         })
         .collect();
 
-    run_lockstep(&gate, &slots, total, run.workers, |slot, shard, round| {
-        if slot.crash_at == Some(round) {
-            slot.counters.crashes += 1;
-        }
-        let crashed = slot.crash_at.is_some_and(|c| round >= c);
+    run_lockstep(&gate, &slots, total, run.workers, |slot, _, round| {
         // Generated work accumulates even on a crashed shard (it counts
         // as pending, unserviced).
         for t in std::mem::take(&mut slot.inject[round as usize]) {
             slot.node.inject(t);
         }
         // The executor only runs this once every peer finished round-1
-        // sends; the drain below then sees all of them.
+        // sends; the drain below then sees all of them, and keeps ring
+        // memory bounded on a crashed shard too.
         slot.inbox.drain_into(round, &mut slot.buf);
-        if crashed {
-            // A dead shard neither sends nor processes; the drain above
-            // still ran, keeping ring memory bounded — its contents just
-            // evaporate.
-            slot.buf.clear();
-        } else {
-            // Intra-shard consensus on this round's inbox digest — the
-            // paper's round abstraction executed for real, with the fault
-            // plane's Byzantine voters flipped in. Purely local: it never
-            // touches the report, so fault-free byte-identity holds.
-            let digest = round ^ ((slot.buf.len() as u64) << 32) ^ shard as u64;
-            let flips = run.faults.byz_flips_for(slot.pbft.faulty());
-            let outcome = slot.pbft.decide_with_byzantine(digest, flips);
-            debug_assert_eq!(outcome, ConsensusOutcome::Decided(digest));
-            slot.counters.byz_flips += flips as u64;
-            slot.node.on_round(
+        let io = ShardIo {
+            ledger: &mut slot.ledger,
+            chain: &mut slot.chain,
+            policy: slot.policy.as_mut(),
+            out: &mut PortOutbox {
+                port: &mut slot.port,
                 round,
-                slot.buf.drain(..).map(|e| (e.from, e.payload)),
-                ShardIo {
-                    ledger: &mut slot.ledger,
-                    chain: &mut slot.chain,
-                    policy: slot.policy.as_mut(),
-                    out: &mut PortOutbox {
-                        port: &mut slot.port,
-                        round,
-                    },
-                    events: &mut slot.events,
-                },
-            );
-        }
-        let sample = slot.node.sample(round);
-        slot.ticks.push((sample, slot.counters.byz_flips, crashed));
+            },
+            events: &mut slot.events,
+        };
+        let inbox = slot.buf.drain(..).map(|e| (e.from, e.payload));
+        let tick = shard_round(&mut slot.node, &mut slot.faults, round, inbox, io);
+        slot.ticks.push(tick);
     });
 
     // Flushing a port adds the shard's local message tallies into the
-    // hub before the counters are read below.
+    // hub before the totals are read below.
     let done: Vec<Slot<'_, N>> = slots
         .into_iter()
         .map(|slot| {
@@ -333,54 +289,30 @@ fn drive<N: ProtocolNode>(
         })
         .collect();
 
-    let mut collector = MetricsCollector::new(s);
-    if run.metrics {
-        collector.enable_metrics();
-    }
-    let mut log = Vec::new();
+    let mut fold = RoundFold::<N>::new(s, run.metrics);
     let mut cursors = vec![0usize; s];
-    let mut samples = Vec::with_capacity(s);
-    let mut pending_at_end = 0u64;
     for round in 0..total {
-        // Replay in the simulator's order: round, deciding shard, index.
-        for (d, cursor) in done.iter().zip(&mut cursors) {
-            while let Some(e) = d.events.get(*cursor).filter(|e| e.round == round) {
-                e.record(&mut collector, &mut log);
-                *cursor += 1;
-            }
-        }
-        samples.clear();
-        let (mut byz, mut crashed) = (0u64, 0u64);
         for d in &done {
-            let (sample, flips, down) = d.ticks[round as usize];
-            samples.push(sample);
-            byz += flips;
-            crashed += u64::from(down);
+            fold.push(d.ticks[round as usize]);
         }
-        pending_at_end = N::observe(&mut collector, &samples, byz, crashed);
+        // Replay in the simulator's order: round, deciding shard, index.
+        fold.close(done.iter().zip(&mut cursors).flat_map(|(d, cursor)| {
+            let start = *cursor;
+            *cursor += d.events[start..]
+                .iter()
+                .take_while(|e| e.round == round)
+                .count();
+            d.events[start..*cursor].iter().copied()
+        }));
     }
-
-    // Fault-free, every shard observes the same epoch sequence. Under
-    // faults a crashed or desynced shard's counters freeze, so the report
-    // takes the furthest view of the run.
-    let (epochs, max_epoch_len) = epoch_stats(done.iter().map(|d| &d.node), total);
-    let mut report = collector.finish(
-        done[0].policy.kind(),
-        total,
-        generated,
-        pending_at_end,
-        epochs,
-        max_epoch_len,
-        hub.sent_count(),
-        hub.max_message_bytes(),
-    );
-    let mut counters = FaultCounters::default();
-    for d in &done {
-        counters.merge(&d.counters);
-    }
-    counters.dropped = hub.dropped_count();
-    counters.duplicated = hub.duplicated_count();
-    report.faults = counters;
+    let plane = PlaneTotals {
+        sent: hub.sent_count(),
+        max_message_bytes: hub.max_message_bytes(),
+        dropped: hub.dropped_count(),
+        duplicated: hub.duplicated_count(),
+    };
+    let shards = done.iter().map(|d| (&d.node, &d.faults));
+    let (report, log) = fold.finish(done[0].policy.kind(), generated, shards, plane);
     let chains: Vec<LocalChain> = done.into_iter().map(|d| d.chain).collect();
     NetOutcome {
         report,

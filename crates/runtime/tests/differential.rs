@@ -1,9 +1,10 @@
 //! Cross-validation of the networked engine against the shared-memory
-//! simulators: on identical seeded workloads, a fault-free networked run
-//! must reproduce the simulator's `RunReport` **byte for byte** — counts,
-//! latencies (to the floating-point bit), queue series, message totals —
-//! and its commit log round for round. This is the contract that makes
-//! `engine = net` interchangeable with `engine = sim` in scenario files.
+//! simulators: on identical seeded workloads and fault plans, a networked
+//! run must reproduce the simulator's `RunReport` **byte for byte** —
+//! counts, latencies (to the floating-point bit), queue series, message
+//! and fault totals — and its commit log round for round. This is the
+//! contract that makes `engine = net` interchangeable with `engine = sim`
+//! in scenario files.
 
 use adversary::{Adversary, AdversaryConfig, StrategyKind};
 use cluster::{GridMetric, LineMetric, RingMetric, ShardMetric, UniformMetric};
@@ -95,10 +96,7 @@ fn assert_reports_identical(net: &RunReport, sim: &RunReport, label: &str) {
         "{label}: max_message_bytes"
     );
     assert_eq!(net.verdict, sim.verdict, "{label}: verdict");
-    assert_eq!(
-        net.faults, sim.faults,
-        "{label}: fault counters (both zero)"
-    );
+    assert_eq!(net.faults, sim.faults, "{label}: fault counters");
     assert_eq!(
         net.queue_series.samples(),
         sim.queue_series.samples(),
@@ -415,6 +413,101 @@ fn fds_faults_are_deterministic_and_counted() {
     assert!(a.report.faults.dropped > 0);
     assert!(a.report.faults.byz_flips > 0);
     assert!(a.chains_verified);
+}
+
+/// The simulator under `faults`, running `protocol` as the scenario
+/// executor builds it; returns the report and the commit log.
+fn sim_faulted(
+    sys: &SystemConfig,
+    map: &AccountMap,
+    adv: &AdversaryConfig,
+    rounds: u64,
+    metric: &dyn ShardMetric,
+    protocol: Protocol,
+    faults: &FaultPlan,
+) -> (RunReport, Vec<(Round, TxnId)>) {
+    let mut a = Adversary::new(sys, map, *adv);
+    let batches = (0..rounds).map(|r| a.generate(Round(r)));
+    match protocol {
+        Protocol::EpochHosted(kind, bcfg) => {
+            let policy = kind.epoch_policy(bcfg.coloring, sys.accounts, sys.shards);
+            let mut sim = BdsSim::with_policy(sys, map, bcfg, metric, policy.unwrap());
+            sim.set_faults(faults);
+            batches.for_each(|b| sim.step(b));
+            let log = sim.committed_log().to_vec();
+            (sim.finish(), log)
+        }
+        Protocol::Fds(fcfg) => {
+            let mut sim = FdsSim::new(sys, map, fcfg, metric);
+            sim.set_faults(faults);
+            batches.for_each(|b| sim.step(b));
+            let log = sim.committed_log().to_vec();
+            (sim.finish(), log)
+        }
+    }
+}
+
+#[test]
+fn faulted_runs_match_the_simulator_byte_for_byte() {
+    // The fault path is shared code; what this pins is the transport
+    // under it: the hub's drops, duplicates and delivery order must be
+    // the simulator network's, and crashes and Byzantine votes must land
+    // on the same rounds, for every protocol and metric shape.
+    let (sys, map) = system(8, 3);
+    let adv = adversary(73);
+    let protocols = [
+        (
+            "bds",
+            Protocol::EpochHosted(SchedulerKind::Bds, BdsConfig::default()),
+        ),
+        ("fds", Protocol::Fds(FdsConfig::default())),
+        (
+            "edf",
+            Protocol::EpochHosted(SchedulerKind::Edf, BdsConfig::default()),
+        ),
+    ];
+    let metrics: Vec<(&str, Box<dyn ShardMetric>)> = vec![
+        ("uniform", Box::new(UniformMetric::new(8))),
+        ("line", Box::new(LineMetric::new(8))),
+    ];
+    let plans = [
+        (
+            "drop+dup",
+            FaultPlan {
+                seed: 7,
+                drop_prob: 0.03,
+                dup_prob: 0.02,
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "crash",
+            FaultPlan {
+                crashes: vec![(ShardId(2), Round(150)), (ShardId(5), Round(300))],
+                ..FaultPlan::default()
+            },
+        ),
+        (
+            "byzantine-votes",
+            FaultPlan {
+                byz_votes: 1,
+                ..FaultPlan::default()
+            },
+        ),
+    ];
+    for (pname, protocol) in protocols {
+        for (mname, metric) in &metrics {
+            for (fname, plan) in &plans {
+                let label = format!("{pname}/{mname}/{fname}");
+                let metric = metric.as_ref();
+                let net = net_run(&sys, &map, &adv, Round(600), metric, protocol, plan);
+                let (sim, sim_log) = sim_faulted(&sys, &map, &adv, 600, metric, protocol, plan);
+                assert!(!sim.faults.is_zero(), "{label}: the plan must fire");
+                assert_reports_identical(&net.report, &sim, &label);
+                assert_eq!(net.committed_log, sim_log, "{label}: commit log");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -161,6 +161,48 @@ pub fn or_exit<T>(result: Result<T, impl std::fmt::Display>) -> T {
     })
 }
 
+/// Prints `msg` with the usage text; returns the usage-error status.
+fn usage_error(msg: &str) -> i32 {
+    eprintln!("error: {msg}\n\n{USAGE}");
+    2
+}
+
+/// The value after `flag`, parsed as `T` (`what` names the form).
+fn flag_value<'a, T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} takes a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag}: `{v}` is not {what}"))
+}
+
+/// The value after `--threads`, which must be at least 1.
+fn threads_value<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<usize, String> {
+    match flag_value(it, "--threads", "an integer")? {
+        0 => Err("--threads must be >= 1".into()),
+        n => Ok(n),
+    }
+}
+
+/// The override after `--set KEY=VALUE`, or after `--rounds N` (sugar
+/// for `--set rounds=N`).
+fn override_value<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<(String, String), String> {
+    if flag == "--rounds" {
+        let rounds: u64 = flag_value(it, flag, "an integer")?;
+        return Ok(("rounds".to_string(), rounds.to_string()));
+    }
+    let v = it.next().ok_or("--set takes KEY=VALUE")?;
+    let (k, val) = v
+        .split_once('=')
+        .ok_or_else(|| format!("--set: `{v}` is not KEY=VALUE"))?;
+    Ok((k.trim().to_string(), val.trim().to_string()))
+}
+
 #[derive(Debug)]
 struct RunFlags {
     files: Vec<PathBuf>,
@@ -183,34 +225,9 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => {
-                let v = it.next().ok_or("--threads takes a value")?;
-                flags.threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads: `{v}` is not an integer"))?;
-                if flags.threads == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out takes a value")?;
-                flags.out = PathBuf::from(v);
-            }
-            "--rounds" => {
-                let v = it.next().ok_or("--rounds takes a value")?;
-                v.parse::<u64>()
-                    .map_err(|_| format!("--rounds: `{v}` is not an integer"))?;
-                flags.sets.push(("rounds".to_string(), v.clone()));
-            }
-            "--set" => {
-                let v = it.next().ok_or("--set takes KEY=VALUE")?;
-                let (k, val) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set: `{v}` is not KEY=VALUE"))?;
-                flags
-                    .sets
-                    .push((k.trim().to_string(), val.trim().to_string()));
-            }
+            "--threads" => flags.threads = threads_value(&mut it)?,
+            "--out" => flags.out = flag_value(&mut it, a, "a path")?,
+            "--rounds" | "--set" => flags.sets.push(override_value(&mut it, a)?),
             "--quiet" => flags.quiet = true,
             "--no-write" => flags.write = false,
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
@@ -226,21 +243,12 @@ fn parse_run_flags(args: &[String]) -> Result<RunFlags, String> {
 fn cmd_run(args: &[String]) -> i32 {
     let flags = match parse_run_flags(args) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
+        Err(e) => return usage_error(&e),
     };
     for file in &flags.files {
-        let scenario = match Scenario::load(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
-        let jobs = match scenario.jobs_with(&flags.sets) {
-            Ok(j) => j,
+        let planned = Scenario::load(file).and_then(|s| s.jobs_with(&flags.sets).map(|j| (s, j)));
+        let (scenario, jobs) = match planned {
+            Ok(planned) => planned,
             Err(e) => {
                 eprintln!("error: {e}");
                 return 2;
@@ -289,18 +297,10 @@ fn cmd_run(args: &[String]) -> i32 {
 
 fn cmd_plan(args: &[String]) -> i32 {
     let [file] = args else {
-        eprintln!("error: plan takes exactly one scenario file\n\n{USAGE}");
-        return 2;
+        return usage_error("plan takes exactly one scenario file");
     };
-    let scenario = match Scenario::load(Path::new(file)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    match scenario.jobs() {
-        Ok(jobs) => {
+    match Scenario::load(Path::new(file)).and_then(|s| s.jobs().map(|j| (s, j))) {
+        Ok((scenario, jobs)) => {
             print!("{}", scenario.plan_string(&jobs));
             0
         }
@@ -313,8 +313,7 @@ fn cmd_plan(args: &[String]) -> i32 {
 
 fn cmd_check(args: &[String]) -> i32 {
     if args.is_empty() {
-        eprintln!("error: check takes scenario files\n\n{USAGE}");
-        return 2;
+        return usage_error("check takes scenario files");
     }
     let mut status = 0;
     for file in args {
@@ -385,37 +384,17 @@ fn parse_bench_flags(args: &[String]) -> Result<BenchFlags, String> {
         match a.as_str() {
             "--quick" => {}
             "--repeats" => {
-                let v = it.next().ok_or("--repeats takes a value")?;
-                flags.opts.repeats = v
-                    .parse()
-                    .map_err(|_| format!("--repeats: `{v}` is not an integer"))?;
+                flags.opts.repeats = flag_value(&mut it, a, "an integer")?;
                 if flags.opts.repeats == 0 {
                     return Err("--repeats must be >= 1".into());
                 }
             }
-            "--warmup" => {
-                let v = it.next().ok_or("--warmup takes a value")?;
-                flags.opts.warmup = v
-                    .parse()
-                    .map_err(|_| format!("--warmup: `{v}` is not an integer"))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out takes a value")?;
-                flags.out = Some(PathBuf::from(v));
-            }
-            "--scenarios" => {
-                let v = it.next().ok_or("--scenarios takes a value")?;
-                flags.opts.scenarios_dir = PathBuf::from(v);
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline takes a value")?;
-                flags.baseline = Some(PathBuf::from(v));
-            }
+            "--warmup" => flags.opts.warmup = flag_value(&mut it, a, "an integer")?,
+            "--out" => flags.out = Some(flag_value(&mut it, a, "a path")?),
+            "--scenarios" => flags.opts.scenarios_dir = flag_value(&mut it, a, "a path")?,
+            "--baseline" => flags.baseline = Some(flag_value(&mut it, a, "a path")?),
             "--max-regression" => {
-                let v = it.next().ok_or("--max-regression takes a value")?;
-                flags.max_regression = v
-                    .parse()
-                    .map_err(|_| format!("--max-regression: `{v}` is not a number"))?;
+                flags.max_regression = flag_value(&mut it, a, "a number")?;
                 if flags.max_regression <= 1.0 || flags.max_regression.is_nan() {
                     return Err("--max-regression must be > 1".into());
                 }
@@ -430,10 +409,7 @@ fn parse_bench_flags(args: &[String]) -> Result<BenchFlags, String> {
 fn cmd_bench(args: &[String]) -> i32 {
     let flags = match parse_bench_flags(args) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
+        Err(e) => return usage_error(&e),
     };
     eprintln!(
         "bench: {} mode, {} repeat(s) after {} warmup(s)",
@@ -501,37 +477,10 @@ fn parse_campaign_flags(
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => {
-                let v = it.next().ok_or("--threads takes a value")?;
-                opts.threads = v
-                    .parse()
-                    .map_err(|_| format!("--threads: `{v}` is not an integer"))?;
-                if opts.threads == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out takes a value")?;
-                opts.out = PathBuf::from(v);
-            }
-            "--scenarios" => {
-                let v = it.next().ok_or("--scenarios takes a value")?;
-                opts.scenarios_dir = PathBuf::from(v);
-            }
-            "--rounds" => {
-                let v = it.next().ok_or("--rounds takes a value")?;
-                v.parse::<u64>()
-                    .map_err(|_| format!("--rounds: `{v}` is not an integer"))?;
-                opts.sets.push(("rounds".to_string(), v.clone()));
-            }
-            "--set" => {
-                let v = it.next().ok_or("--set takes KEY=VALUE")?;
-                let (k, val) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--set: `{v}` is not KEY=VALUE"))?;
-                opts.sets
-                    .push((k.trim().to_string(), val.trim().to_string()));
-            }
+            "--threads" => opts.threads = threads_value(&mut it)?,
+            "--out" => opts.out = flag_value(&mut it, a, "a path")?,
+            "--scenarios" => opts.scenarios_dir = flag_value(&mut it, a, "a path")?,
+            "--rounds" | "--set" => opts.sets.push(override_value(&mut it, a)?),
             "--timed" => opts.timed = true,
             "--quiet" => opts.quiet = true,
             "--no-write" => opts.write = false,
@@ -551,10 +500,7 @@ fn parse_campaign_flags(
 fn cmd_campaign(args: &[String]) -> i32 {
     let (family, opts) = match parse_campaign_flags(args) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return 2;
-        }
+        Err(e) => return usage_error(&e),
     };
     let results = match campaign::run_campaign(family, &opts) {
         Ok(r) => r,
@@ -596,10 +542,7 @@ pub fn run(args: &[String]) -> i32 {
             println!("{USAGE}");
             i32::from(args.is_empty())
         }
-        Some(other) => {
-            eprintln!("error: unknown command `{other}`\n\n{USAGE}");
-            2
-        }
+        Some(other) => usage_error(&format!("unknown command `{other}`")),
     }
 }
 

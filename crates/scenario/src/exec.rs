@@ -14,7 +14,7 @@ use schedulers::baseline::{FcfsConfig, FcfsSim};
 use schedulers::bds::{BdsConfig, BdsSim};
 use schedulers::fds::{FdsConfig, FdsSim};
 use schedulers::history::check_cross_shard_order;
-use schedulers::{RunReport, SchedulerKind};
+use schedulers::{NodeSim, ProtocolNode, RunReport, SchedulerKind};
 use sharding_core::{AccountMap, ReshardPlan, Round, SystemConfig, Transaction, TxnId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,10 +103,30 @@ fn feed(
     all
 }
 
-/// Runs one job to completion on the calling thread. Jobs with
-/// `engine = net` route through the networked runtime (one executor
-/// thread per shard for the duration of the job); everything else runs
-/// the shared-memory simulators. Both drain the same workload source.
+/// Runs `sim` over the job with its faults and metrics armed; returns
+/// the report, the order-check violations and the migration audit.
+fn run_sim<N: ProtocolNode>(
+    mut sim: NodeSim<N>,
+    spec: &JobSpec,
+    source: &mut dyn RoundSource,
+) -> (RunReport, Option<u64>, Option<(u64, u64)>) {
+    sim.set_faults(&spec.fault_plan());
+    if spec.metrics.enabled() {
+        sim.enable_metrics();
+    }
+    let all = feed(spec, source, |batch| sim.step(batch));
+    let violations = spec
+        .check_order
+        .then(|| check_cross_shard_order(sim.chains(), &all).len() as u64);
+    let audit = (!spec.reshard.is_empty())
+        .then(|| simnet::reshard_audit(sim.chains(), sim.committed_log()));
+    (sim.finish(), violations, audit)
+}
+
+/// Runs one job to completion on the calling thread: `engine = net` jobs
+/// on the networked runtime with one executor worker (the job pool
+/// supplies the parallelism), the rest on the simulators. Both drain the
+/// same workload source and inject the same fault plan.
 pub fn run_job(spec: &JobSpec) -> JobOutcome {
     let sys = spec.system_config();
     let map = spec.account_map();
@@ -116,73 +136,57 @@ pub fn run_job(spec: &JobSpec) -> JobOutcome {
         .metric
         .build(sys.shards)
         .expect("spec validated at plan time");
-    let metrics = spec.metrics.enabled();
     let plan = spec.reshard_plan();
     let mut source = job_source(spec, &sys, &map, plan.clone());
-    let (report, violations, reshard) = if spec.engine == EngineKind::Net {
-        let protocol = match spec.scheduler {
-            SchedulerKind::Fds => Protocol::Fds(fds_config(spec)),
-            SchedulerKind::Fcfs => unreachable!("rejected at plan time"),
-            // BDS proper and every zoo policy share the epoch host.
-            kind => Protocol::EpochHosted(kind, bds_config(spec)),
-        };
-        let run = NetRun {
-            sys: &sys,
-            map: &map,
-            rounds: Round(spec.rounds),
-            metric: metric.as_ref(),
-            protocol,
-            faults: &spec.fault_plan(),
-            workers: sys.shards,
-            metrics,
-            reshard: plan.as_ref(),
-        };
-        let out = run_net(&run, source.as_mut());
-        (out.report, None, out.reshard_audit)
-    } else {
-        match spec.scheduler {
-            SchedulerKind::Fds => {
-                let mut sim = FdsSim::new(&sys, &map, fds_config(spec), metric.as_ref());
-                if metrics {
-                    sim.enable_metrics();
-                }
-                let all = feed(spec, source.as_mut(), |batch| sim.step(batch));
-                let violations = spec
-                    .check_order
-                    .then(|| check_cross_shard_order(sim.chains(), &all).len() as u64);
-                (sim.finish(), violations, None)
+    let (report, violations, reshard) = match (spec.engine, spec.scheduler) {
+        (EngineKind::Net, kind) => {
+            let protocol = match kind {
+                SchedulerKind::Fds => Protocol::Fds(fds_config(spec)),
+                SchedulerKind::Fcfs => unreachable!("rejected at plan time"),
+                // BDS proper and every zoo policy share the epoch host.
+                kind => Protocol::EpochHosted(kind, bds_config(spec)),
+            };
+            let run = NetRun {
+                sys: &sys,
+                map: &map,
+                rounds: Round(spec.rounds),
+                metric: metric.as_ref(),
+                protocol,
+                faults: &spec.fault_plan(),
+                workers: 1,
+                metrics: spec.metrics.enabled(),
+                reshard: plan.as_ref(),
+            };
+            let out = run_net(&run, source.as_mut());
+            (out.report, None, out.reshard_audit)
+        }
+        (_, SchedulerKind::Fds) => {
+            let sim = FdsSim::new(&sys, &map, fds_config(spec), metric.as_ref());
+            run_sim(sim, spec, source.as_mut())
+        }
+        (_, SchedulerKind::Fcfs) => {
+            let fcfg = FcfsConfig {
+                respect_capacity: spec.respect_capacity,
+            };
+            let mut sim = FcfsSim::new(&sys, fcfg);
+            if spec.metrics.enabled() {
+                sim.enable_metrics();
             }
-            SchedulerKind::Fcfs => {
-                let fcfg = FcfsConfig {
-                    respect_capacity: spec.respect_capacity,
-                };
-                let mut sim = FcfsSim::new(&sys, fcfg);
-                if metrics {
-                    sim.enable_metrics();
-                }
-                feed(spec, source.as_mut(), |batch| sim.step(batch));
-                (sim.finish(), None, None)
+            feed(spec, source.as_mut(), |batch| sim.step(batch));
+            (sim.finish(), None, None)
+        }
+        // BDS proper and every zoo policy share the epoch host; the
+        // factory is the single registration point.
+        (_, kind) => {
+            let bcfg = bds_config(spec);
+            let policy = kind
+                .epoch_policy(bcfg.coloring, sys.accounts, sys.shards)
+                .expect("non-policy kinds have explicit arms above");
+            let mut sim = BdsSim::with_policy(&sys, &map, bcfg, metric.as_ref(), policy);
+            if let Some(plan) = &plan {
+                sim.set_reshard(plan.clone());
             }
-            // BDS proper and every zoo policy share the epoch host; the
-            // factory is the single registration point.
-            kind => {
-                let bcfg = bds_config(spec);
-                let policy = kind
-                    .epoch_policy(bcfg.coloring, sys.accounts, sys.shards)
-                    .expect("non-policy kinds have explicit arms above");
-                let mut sim = BdsSim::with_policy(&sys, &map, bcfg, metric.as_ref(), policy);
-                if metrics {
-                    sim.enable_metrics();
-                }
-                if let Some(plan) = &plan {
-                    sim.set_reshard(plan.clone());
-                }
-                feed(spec, source.as_mut(), |batch| sim.step(batch));
-                // The migration audit runs over the chains before the
-                // simulator is consumed.
-                let audit = plan.as_ref().map(|_| sim.reshard_audit());
-                (sim.finish(), None, audit)
-            }
+            run_sim(sim, spec, source.as_mut())
         }
     };
     JobOutcome {

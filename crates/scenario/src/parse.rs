@@ -261,35 +261,27 @@ impl Scenario {
                     .map_err(|m| err_at(Some(self.grid[pos].line), m))?;
             }
             let job = draft.resolve(&self.name, index, overrides).map_err(|m| {
-                // Cross-field failures usually have no single line, but
-                // the PBFT-viability violation always traces to the
-                // quorum keys — point at the last one in the file.
-                let line = if m.contains("n > 3f") {
-                    self.quorum_key_line()
-                } else {
-                    None
-                };
-                err_at(line, format!("job {index}: {m}"))
+                // Cross-field failures have no single line; point at the
+                // last line assigning a key the message quotes.
+                err_at(self.quoted_key_line(&m), format!("job {index}: {m}"))
             })?;
             jobs.push(job);
         }
         Ok(jobs)
     }
 
-    /// The last line assigning `nodes-per-shard` / `faulty-per-shard`
-    /// (base or grid), for attributing PBFT-quorum violations.
-    fn quorum_key_line(&self) -> Option<usize> {
-        let is_quorum_key = |k: &str| matches!(k, "nodes-per-shard" | "faulty-per-shard");
-        self.base
-            .iter()
-            .filter(|a| is_quorum_key(&a.key))
-            .map(|a| a.line)
-            .chain(
-                self.grid
-                    .iter()
-                    .filter(|a| is_quorum_key(&a.key))
-                    .map(|a| a.line),
-            )
+    /// The last line (base or grid) assigning a key that `msg` quotes as
+    /// `key = value`, for attributing cross-field failures.
+    fn quoted_key_line(&self, msg: &str) -> Option<usize> {
+        let quoted = |key: &str| {
+            let in_key = |c: char| c.is_alphanumeric() || c == '-';
+            (msg.match_indices(&format!("{key} = "))).any(|(i, _)| !msg[..i].ends_with(in_key))
+        };
+        let base = self.base.iter().map(|a| (&a.key, a.line));
+        let grid = self.grid.iter().map(|a| (&a.key, a.line));
+        base.chain(grid)
+            .filter(|(k, _)| quoted(k))
+            .map(|(_, l)| l)
             .max()
     }
 

@@ -12,10 +12,9 @@ use std::path::Path;
 ///
 /// Deliberately **without** an `engine` column: the engine changes how a
 /// job executes, never what it measures, and the headline guarantee is
-/// that fault-free `engine = net` reports are byte-identical to
-/// `engine = sim` — a column recording the engine would break exactly
-/// that equality. The four trailing fault columns are all zero for the
-/// simulator and for fault-free networked runs.
+/// that `engine = net` reports are byte-identical to `engine = sim` — a
+/// column recording the engine would break exactly that equality. The
+/// four trailing fault columns are all zero for fault-free runs.
 pub const CSV_HEADER: &str = "scenario,job,scheduler,metric,shards,accounts,k,rounds,rho,b,\
 strategy,shape,seed,coloring,generated,committed,aborted,pending_at_end,avg_queue_per_shard,\
 avg_latency,max_latency,max_total_pending,epochs,max_epoch_len,messages,max_message_bytes,\

@@ -9,7 +9,9 @@ use conflict::ColoringStrategy;
 use metrics::MetricsMode;
 use runtime::EngineKind;
 use schedulers::SchedulerKind;
-use sharding_core::{bounds, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, VnodeTable};
+use sharding_core::{
+    bounds, AccountId, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, VnodeTable,
+};
 use simnet::FaultPlan;
 use std::str::FromStr;
 
@@ -341,12 +343,8 @@ impl JobDraft {
             || self.dup_prob != 0.0
             || !self.crashes.is_empty()
             || self.byz_votes != 0;
-        if faults_requested && self.engine != EngineKind::Net {
-            return Err(
-                "fault keys (drop-prob, dup-prob, crash, byzantine-votes) require \
-                 engine = net — the simulator never injects faults"
-                    .into(),
-            );
+        if faults_requested && self.scheduler == SchedulerKind::Fcfs {
+            return Err("fault keys do not apply to scheduler = fcfs (no messages)".into());
         }
         if self.byz_votes > self.faulty_per_shard {
             return Err(format!(
@@ -410,16 +408,6 @@ impl JobDraft {
                         .into(),
                 );
             }
-            // Validate the schedule itself (event ordering, active-set
-            // floor, provisioned-capacity system bounds) at plan time.
-            let probe = SystemConfig {
-                shards: self.shards,
-                nodes_per_shard: self.nodes_per_shard,
-                faulty_per_shard: self.faulty_per_shard,
-                k_max: self.k,
-                accounts,
-            };
-            ReshardPlan::build(self.shards, &probe, &self.reshard)?;
         }
         let spec = JobSpec {
             scenario: scenario.to_string(),
@@ -460,6 +448,38 @@ impl JobDraft {
             metrics: self.metrics,
             reshard: self.reshard.clone(),
         };
+        // Validate the reshard schedule itself (event ordering, active-set
+        // floor, provisioned-capacity system bounds) at plan time.
+        let plan = spec.try_reshard_plan()?;
+        // The generator draws an account from every shard a transaction
+        // touches, so every active shard must own one.
+        let uncovered = match (plan, self.placement) {
+            (Some(plan), _) => plan.versions.iter().find_map(|v| {
+                let mut active = v.active.iter().copied();
+                active.find(|&s| v.map.accounts_of(s).is_empty())
+            }),
+            (None, Placement::Vnode) => {
+                let table = VnodeTable::balanced(self.shards);
+                let mut unseen = vec![true; self.shards];
+                let mut left = self.shards;
+                for a in 0..accounts as u64 {
+                    if left == 0 {
+                        break;
+                    }
+                    let s = table.shard_of(AccountId(a)).index();
+                    left -= usize::from(std::mem::replace(&mut unseen[s], false));
+                }
+                unseen.iter().position(|&u| u).map(|s| ShardId(s as u32))
+            }
+            (None, _) => (accounts < self.shards).then_some(ShardId(accounts as u32)),
+        };
+        if let Some(shard) = uncovered {
+            return Err(format!(
+                "accounts = {accounts} leaves shard {shard} with no account under \
+                 placement = {} (every active shard must own one)",
+                self.placement
+            ));
+        }
         spec.system_config().validate().map_err(|e| e.to_string())?;
         // The metric spans the provisioned shard count (reshard jobs
         // provision for the schedule's maximum).
@@ -484,8 +504,8 @@ pub struct JobSpec {
     /// Which scheduler runs the job.
     pub scheduler: SchedulerKind,
     /// Which execution engine runs it: the shared-memory simulator or
-    /// the concurrent networked runtime (fault-free runs of the
-    /// two are byte-identical, test-enforced).
+    /// the concurrent networked runtime (their reports are
+    /// byte-identical, faults included, test-enforced).
     pub engine: EngineKind,
     /// Shard metric shape.
     pub metric: MetricKind,
@@ -529,17 +549,17 @@ pub struct JobSpec {
     pub respect_capacity: bool,
     /// FDS: run the cross-shard serialization-order checker afterwards.
     pub check_order: bool,
-    /// Net engine: seed of the fault plane's ChaCha streams.
+    /// Fault plane: seed of the fault plane's ChaCha streams.
     pub fault_seed: u64,
-    /// Net engine: per-link message-drop probability.
+    /// Fault plane: per-link message-drop probability.
     pub drop_prob: f64,
-    /// Net engine: per-link message-duplication probability.
+    /// Fault plane: per-link message-duplication probability.
     pub dup_prob: f64,
-    /// Net engine: max drops per directed link (`u64::MAX` = unlimited).
+    /// Fault plane: max drops per directed link (`u64::MAX` = unlimited).
     pub drop_budget: u64,
-    /// Net engine: `(shard, round)` crash schedule.
+    /// Fault plane: `(shard, round)` crash schedule.
     pub crashes: Vec<(u32, u64)>,
-    /// Net engine: Byzantine voters per intra-shard consensus instance.
+    /// Fault plane: Byzantine voters per intra-shard consensus instance.
     pub byz_votes: usize,
     /// Firehose: per-home-shard mempool lane capacity (`None` = the
     /// legacy inline generator, no ingestion plane).
@@ -568,9 +588,16 @@ impl JobSpec {
     /// protocol participant from round 0 (inactive ones simply own no
     /// vnodes until their join event).
     pub fn system_config(&self) -> SystemConfig {
-        let shards = self.reshard_plan().map_or(self.shards, |plan| plan.s_max);
         SystemConfig {
-            shards,
+            shards: self.reshard_plan().map_or(self.shards, |plan| plan.s_max),
+            ..self.initial_config()
+        }
+    }
+
+    /// The system over the initial shard count.
+    fn initial_config(&self) -> SystemConfig {
+        SystemConfig {
+            shards: self.shards,
             nodes_per_shard: self.nodes_per_shard,
             faulty_per_shard: self.faulty_per_shard,
             k_max: self.k,
@@ -580,20 +607,17 @@ impl JobSpec {
 
     /// The precomputed migration plan, or `None` for static jobs.
     pub fn reshard_plan(&self) -> Option<ReshardPlan> {
-        if self.reshard.is_empty() {
-            return None;
-        }
-        let cfg = SystemConfig {
-            shards: self.shards,
-            nodes_per_shard: self.nodes_per_shard,
-            faulty_per_shard: self.faulty_per_shard,
-            k_max: self.k,
-            accounts: self.accounts,
-        };
-        Some(
-            ReshardPlan::build(self.shards, &cfg, &self.reshard)
-                .expect("reshard schedule validated at resolve time"),
-        )
+        self.try_reshard_plan()
+            .expect("reshard schedule validated at resolve time")
+    }
+
+    /// Builds the migration plan (`ReshardPlan::build` owns the
+    /// provisioned shard count).
+    fn try_reshard_plan(&self) -> Result<Option<ReshardPlan>, String> {
+        let initial = self.initial_config();
+        (!self.reshard.is_empty())
+            .then(|| ReshardPlan::build(self.shards, &initial, &self.reshard))
+            .transpose()
     }
 
     /// The account placement map this job runs against. For reshard
@@ -622,8 +646,8 @@ impl JobSpec {
         }
     }
 
-    /// The fault plane this job injects (inert unless fault keys are
-    /// set; only the net engine consumes it).
+    /// The fault plane this job injects on either engine (inert unless
+    /// fault keys are set).
     pub fn fault_plan(&self) -> FaultPlan {
         FaultPlan {
             seed: self.fault_seed,

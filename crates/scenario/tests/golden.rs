@@ -94,17 +94,60 @@ fn net_faults_report_matches_golden() {
     check_report_golden("net_faults.scenario", "net_faults_rounds500.csv");
 }
 
-/// The tentpole guarantee, pinned on the checked-in scenario itself:
+/// Engine interchangeability, pinned on the checked-in scenario itself:
 /// running `net_smoke` (a fault-free `engine = net` grid) with the
 /// engine overridden back to `sim` must reproduce the **networked**
-/// golden byte for byte — the CSV deliberately has no engine column, so
-/// the two engines are interchangeable wherever no faults are injected.
+/// golden byte for byte — the CSV deliberately has no engine column.
+/// The faulted goldens below extend the same claim to fault plans.
 #[test]
 fn net_smoke_with_sim_engine_is_byte_identical() {
     check_report_golden_with(
         "net_smoke.scenario",
         "net_smoke_rounds500.csv",
         &[("engine".to_string(), "sim".to_string())],
+    );
+}
+
+/// Faults on the simulator: every fault-bearing golden, recorded on the
+/// networked engine, re-run with `engine = sim` must reproduce the
+/// checked-in bytes. The shard round and the round fold are shared code,
+/// so this checks the transport under them: the simulator network's
+/// drops, duplicates and delivery order against the hub's.
+fn check_golden_on_sim(name: &str, file: &str, rounds: u64) {
+    let sim = [("engine".to_string(), "sim".to_string())];
+    check_report_golden_at(name, file, rounds, &sim);
+}
+
+#[test]
+fn net_faults_with_sim_engine_is_byte_identical() {
+    check_golden_on_sim("net_faults.scenario", "net_faults_rounds500.csv", 500);
+}
+
+#[test]
+fn gray_partition_with_sim_engine_is_byte_identical() {
+    check_golden_on_sim(
+        "gray_partition.scenario",
+        "gray_partition_rounds200.csv",
+        200,
+    );
+}
+
+#[test]
+fn rolling_crash_with_sim_engine_is_byte_identical() {
+    check_golden_on_sim("rolling_crash.scenario", "rolling_crash_rounds200.csv", 200);
+}
+
+#[test]
+fn byz_ramp_with_sim_engine_is_byte_identical() {
+    check_golden_on_sim("byz_ramp.scenario", "byz_ramp_rounds200.csv", 200);
+}
+
+#[test]
+fn combined_stress_with_sim_engine_is_byte_identical() {
+    check_golden_on_sim(
+        "combined_stress.scenario",
+        "combined_stress_rounds200.csv",
+        200,
     );
 }
 
@@ -442,6 +485,18 @@ fn malformed_inputs_fail_with_context() {
             "name = x\nplacement = vnode\nreshard = +2@100; +1@50\n",
             "strictly increase",
         ),
+        (
+            "name = x\nscheduler = fcfs\ndrop-prob = 0.1\n",
+            "<golden>:2: job 0: fault keys do not apply to scheduler = fcfs",
+        ),
+        (
+            "name = x\nshards = 16\naccounts = 1\n",
+            "<golden>:3: job 0: accounts = 1 leaves shard S1 with no account",
+        ),
+        (
+            "name = x\nshards = 16\nplacement = vnode\naccounts = 64\nscheduler = bds\n",
+            "<golden>:4: job 0: accounts = 64 leaves shard S6 with no account",
+        ),
     ];
     for (text, needle) in cases {
         let err = match Scenario::parse_str(text, "<golden>") {
@@ -456,4 +511,30 @@ fn malformed_inputs_fail_with_context() {
             "error for {text:?} should mention {needle:?}, got: {err}"
         );
     }
+}
+
+/// Fault keys plan on either engine; they are rejected only where they
+/// have no meaning (the message-free FCFS baseline).
+#[test]
+fn fault_keys_plan_under_either_engine() {
+    for engine in ["sim", "net"] {
+        for key in [
+            "drop-prob = 0.1",
+            "dup-prob = 0.1",
+            "crash = 1@50",
+            "byzantine-votes = 1",
+        ] {
+            let text = format!("name = x\nengine = {engine}\nscheduler = bds\n{key}\n");
+            let jobs = Scenario::parse_str(&text, "<t>").unwrap().jobs();
+            let jobs = jobs.unwrap_or_else(|e| panic!("{engine}/{key}: {e}"));
+            assert!(!jobs[0].fault_plan().is_inert(), "{engine}/{key}");
+        }
+    }
+    let fcfs = Scenario::parse_str("name = x\nscheduler = fcfs\ncrash = 1@50\n", "f.scenario");
+    let err = fcfs
+        .unwrap()
+        .jobs()
+        .expect_err("fcfs with faults")
+        .to_string();
+    assert!(err.starts_with("f.scenario:2: job 0:"), "{err}");
 }

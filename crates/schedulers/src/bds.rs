@@ -41,7 +41,7 @@ use sharding_core::txn::SubTransaction;
 use sharding_core::{
     AccountId, AccountMap, ReshardPlan, Round, ShardId, SystemConfig, Transaction, TxnId,
 };
-use simnet::ShardLedger;
+use simnet::{FaultPlan, ShardLedger};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -215,9 +215,18 @@ impl BdsNode {
             .collect()
     }
 
-    /// Arms a live-migration schedule (before the first round).
-    pub fn set_reshard(&mut self, plan: Arc<ReshardPlan>) {
-        self.reshard = Some(plan);
+    /// Arms a live-migration schedule on every node of a system (before
+    /// the first round), which must be provisioned for the plan's `s_max`.
+    pub fn arm_reshard(nodes: &mut [BdsNode], plan: ReshardPlan) {
+        assert_eq!(
+            plan.s_max,
+            nodes.len(),
+            "system must be provisioned for the plan's s_max"
+        );
+        let plan = Arc::new(plan);
+        for node in nodes {
+            node.reshard = Some(Arc::clone(&plan));
+        }
     }
 
     /// The leader shard of the node's current epoch.
@@ -581,6 +590,10 @@ impl ProtocolNode for BdsNode {
     fn epoch_stats(&self, _rounds: u64) -> (u64, u64) {
         (self.epoch, self.max_epoch_len)
     }
+
+    fn arm_faults(&mut self, plan: &FaultPlan) {
+        self.fault_free = plan.is_inert();
+    }
 }
 
 /// The BDS simulator: one [`BdsNode`] per shard, stepped in shard order
@@ -619,10 +632,8 @@ impl NodeSim<BdsNode> {
         metric: &dyn ShardMetric,
         policy: Box<dyn Scheduler>,
     ) -> Self {
-        sys.validate().expect("valid system config");
-        assert_eq!(metric.shards(), sys.shards);
         let nodes = BdsNode::system(&bcfg, metric, true);
-        NodeSim::from_nodes(metric, map, bcfg.initial_balance, nodes, policy)
+        NodeSim::from_nodes(sys, metric, map, bcfg.initial_balance, nodes, policy)
     }
 
     /// Arms a live-migration schedule. Must be called before the first
@@ -630,16 +641,8 @@ impl NodeSim<BdsNode> {
     /// the account map used at construction must match the plan's
     /// version-0 placement (the scenario executor guarantees both).
     pub fn set_reshard(&mut self, plan: ReshardPlan) {
-        assert_eq!(
-            plan.s_max,
-            self.nodes.len(),
-            "system must be provisioned for the plan's s_max"
-        );
         assert_eq!(self.now(), Round::ZERO, "reshard plan armed after round 0");
-        let plan = Arc::new(plan);
-        for node in &mut self.nodes {
-            node.set_reshard(Arc::clone(&plan));
-        }
+        BdsNode::arm_reshard(&mut self.nodes, plan);
     }
 
     /// Active (vnode-owning) shards right now: the current reshard

@@ -680,18 +680,15 @@ impl NodeSim<FdsNode> {
         fcfg: FdsConfig,
         metric: &dyn ShardMetric,
     ) -> Self {
-        sys.validate().expect("valid system config");
-        assert_eq!(metric.shards(), sys.shards);
         let nodes = FdsNode::system(&fcfg, metric);
         // Every cluster leader plans through the same coloring code path
         // BDS's leader uses.
-        let policy = ColoringPolicy::new(SchedulerKind::Fds, fcfg.coloring, sys.accounts);
-        NodeSim::from_nodes(metric, map, fcfg.initial_balance, nodes, Box::new(policy))
-    }
-
-    /// Base epoch length `E_0`.
-    pub fn e0(&self) -> u64 {
-        self.nodes[0].e0
+        let policy = Box::new(ColoringPolicy::new(
+            SchedulerKind::Fds,
+            fcfg.coloring,
+            sys.accounts,
+        ));
+        NodeSim::from_nodes(sys, metric, map, fcfg.initial_balance, nodes, policy)
     }
 
     /// The cluster hierarchy in use.

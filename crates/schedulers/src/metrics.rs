@@ -289,16 +289,6 @@ impl MetricsCollector {
         self.sink.on_abort();
     }
 
-    /// Commits so far.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// Aborts so far.
-    pub fn aborted(&self) -> u64 {
-        self.aborted
-    }
-
     /// Finalizes into a [`RunReport`].
     #[allow(clippy::too_many_arguments)]
     pub fn finish(

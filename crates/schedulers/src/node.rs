@@ -16,15 +16,17 @@
 //!   runs the slots concurrently over lock-free link rings and replays
 //!   the commit events afterwards.
 //!
-//! Both record events in `(round, deciding shard, index)` order and fold
-//! the per-shard [`ProtocolNode::sample`]s through the same
-//! [`ProtocolNode::observe`], so fault-free runs produce byte-identical
-//! reports on either transport.
+//! Both run a shard's round, faults included, through [`shard_round`]
+//! and fold the rounds through one [`RoundFold`] in `(round, deciding
+//! shard, index)` order, so they differ only in how messages move and
+//! their reports are byte-identical with or without a fault plan.
 
-use crate::metrics::{MetricsCollector, RunReport};
+use crate::metrics::{MetricsCollector, RunReport, SchedulerKind};
 use crate::scheduler::Scheduler;
 use cluster::ShardMetric;
-use sharding_core::{AccountMap, Round, ShardId, Transaction, TxnId};
+use sharding_core::{AccountMap, Round, ShardId, SystemConfig, Transaction, TxnId};
+use simnet::faults::{FaultCounters, FaultPlan};
+use simnet::pbft::{ConsensusOutcome, PbftShard};
 use simnet::{LocalChain, Network, ShardLedger};
 
 /// Where a node's outgoing messages go. The transport binds the sender
@@ -67,18 +69,6 @@ pub struct CommitEvent {
     pub home: ShardId,
     /// Commit (`true`) or abort.
     pub committed: bool,
-}
-
-impl CommitEvent {
-    /// Records the decision into the run's metrics and commit log.
-    pub fn record(&self, collector: &mut MetricsCollector, log: &mut Vec<(Round, TxnId)>) {
-        if self.committed {
-            collector.record_commit(self.generated, self.commit_round, self.home);
-            log.push((self.commit_round, self.txn));
-        } else {
-            collector.record_abort();
-        }
-    }
 }
 
 /// The votes collected for one transaction, at most one per voting shard:
@@ -142,17 +132,182 @@ pub trait ProtocolNode: Send {
     /// `(epochs, max epoch length)` as this node saw them after `rounds`
     /// rounds; a report takes the maximum over nodes.
     fn epoch_stats(&self, rounds: u64) -> (u64, u64);
+
+    /// Arms the run's fault plan before round 0 (a node turns off checks
+    /// that hold only when nothing is lost).
+    fn arm_faults(&mut self, _plan: &FaultPlan) {}
 }
 
-/// The largest `(epochs, max epoch length)` over `nodes`.
-pub fn epoch_stats<'a, N: ProtocolNode + 'a>(
-    nodes: impl IntoIterator<Item = &'a N>,
+/// One shard's fault state: its PBFT membership, crash round and
+/// Byzantine voters per consensus, and the faults injected so far.
+#[derive(Debug, Clone)]
+pub struct ShardFaults {
+    pbft: PbftShard,
+    crash_at: Option<u64>,
+    flips: usize,
+    counters: FaultCounters,
+}
+
+impl ShardFaults {
+    /// Fault-free state for shard `id` of `sys`.
+    pub fn new(id: ShardId, sys: &SystemConfig) -> Self {
+        ShardFaults {
+            pbft: PbftShard::new(id, sys.nodes_per_shard, sys.faulty_per_shard)
+                .expect("validated config"),
+            crash_at: None,
+            flips: 0,
+            counters: FaultCounters::default(),
+        }
+    }
+
+    /// Arms `plan` on this shard and on its `node` (before round 0).
+    pub fn arm<N: ProtocolNode>(&mut self, node: &mut N, plan: &FaultPlan) {
+        self.crash_at = plan.crash_round(self.pbft.shard()).map(Round::raw);
+        self.flips = plan.byz_flips_for(self.pbft.faulty());
+        node.arm_faults(plan);
+    }
+}
+
+/// What one shard's round leaves for the fold: the node's sample, the
+/// shard's Byzantine flips so far, and whether it is crashed.
+#[derive(Debug, Clone, Copy)]
+pub struct Tick<S>(S, u64, bool);
+
+/// Runs one shard's round on either transport: counts the crash at its
+/// round and discards a crashed shard's inbox (a dead shard neither
+/// sends nor processes); otherwise runs the round's intra-shard PBFT on
+/// the inbox digest with the plan's Byzantine voters (purely local: it
+/// never touches the report), then the node's round.
+pub fn shard_round<N: ProtocolNode, O: Outbox<N::Msg>>(
+    node: &mut N,
+    faults: &mut ShardFaults,
+    round: u64,
+    inbox: impl ExactSizeIterator<Item = (ShardId, N::Msg)>,
+    io: ShardIo<'_, O>,
+) -> Tick<N::Sample> {
+    faults.counters.crashes += u64::from(faults.crash_at == Some(round));
+    let crashed = faults.crash_at.is_some_and(|c| round >= c);
+    if crashed {
+        inbox.for_each(drop);
+    } else {
+        let shard = faults.pbft.shard().raw() as u64;
+        let digest = round ^ ((inbox.len() as u64) << 32) ^ shard;
+        let outcome = faults.pbft.decide_with_byzantine(digest, faults.flips);
+        debug_assert_eq!(outcome, ConsensusOutcome::Decided(digest));
+        faults.counters.byz_flips += faults.flips as u64;
+        node.on_round(round, inbox, io);
+    }
+    Tick(node.sample(round), faults.counters.byz_flips, crashed)
+}
+
+/// A message plane's end-of-run totals.
+#[derive(Debug, Clone, Copy)]
+pub struct PlaneTotals {
+    /// Protocol sends attempted, dropped ones included.
+    pub sent: u64,
+    /// Largest message payload in bytes.
+    pub max_message_bytes: u64,
+    /// Messages the fault plane dropped.
+    pub dropped: u64,
+    /// Messages the fault plane duplicated.
+    pub duplicated: u64,
+}
+
+/// The per-round fold and report assembly of a run, shared by both
+/// transports: the simulator closes each round live, the networked
+/// engine replays its per-shard ticks and events after the run.
+pub struct RoundFold<N: ProtocolNode> {
+    collector: MetricsCollector,
+    log: Vec<(Round, TxnId)>,
+    samples: Vec<N::Sample>,
+    byz: u64,
+    crashed: u64,
+    pending: u64,
     rounds: u64,
-) -> (u64, u64) {
-    nodes.into_iter().fold((0, 0), |(e, l), n| {
-        let (ne, nl) = n.epoch_stats(rounds);
-        (e.max(ne), l.max(nl))
-    })
+}
+
+impl<N: ProtocolNode> RoundFold<N> {
+    /// An empty fold over `shards` shards, with the metrics plane on
+    /// when `metrics` is set (see [`NodeSim::enable_metrics`]).
+    pub fn new(shards: usize, metrics: bool) -> Self {
+        let mut collector = MetricsCollector::new(shards);
+        if metrics {
+            collector.enable_metrics();
+        }
+        RoundFold {
+            collector,
+            log: Vec::new(),
+            samples: Vec::with_capacity(shards),
+            byz: 0,
+            crashed: 0,
+            pending: 0,
+            rounds: 0,
+        }
+    }
+
+    /// Adds the next shard's tick of the open round (shard order).
+    pub fn push(&mut self, Tick(sample, byz, crashed): Tick<N::Sample>) {
+        self.samples.push(sample);
+        self.byz += byz;
+        self.crashed += u64::from(crashed);
+    }
+
+    /// Closes the round: records its decisions (in deciding-shard
+    /// order, then decision order) into the metrics and the commit log,
+    /// then folds the pushed ticks through [`ProtocolNode::observe`].
+    pub fn close(&mut self, events: impl IntoIterator<Item = CommitEvent>) {
+        for e in events {
+            if e.committed {
+                self.collector
+                    .record_commit(e.generated, e.commit_round, e.home);
+                self.log.push((e.commit_round, e.txn));
+            } else {
+                self.collector.record_abort();
+            }
+        }
+        self.pending = N::observe(&mut self.collector, &self.samples, self.byz, self.crashed);
+        self.samples.clear();
+        (self.byz, self.crashed) = (0, 0);
+        self.rounds += 1;
+    }
+
+    /// Assembles the report under `kind` and returns it with the commit
+    /// log. `shards` gives every shard's node and fault state: the
+    /// report takes the furthest epoch view over the nodes (a crashed or
+    /// desynced shard's counters freeze) and the sum of the injected
+    /// faults, with drops and duplicates from the message `plane`.
+    pub fn finish<'a>(
+        self,
+        kind: SchedulerKind,
+        generated: u64,
+        shards: impl IntoIterator<Item = (&'a N, &'a ShardFaults)>,
+        plane: PlaneTotals,
+    ) -> (RunReport, Vec<(Round, TxnId)>)
+    where
+        N: 'a,
+    {
+        let (mut epochs, mut max_epoch_len) = (0, 0);
+        let mut faults = FaultCounters::default();
+        for (node, f) in shards {
+            let (e, l) = node.epoch_stats(self.rounds);
+            (epochs, max_epoch_len) = (epochs.max(e), max_epoch_len.max(l));
+            faults.merge(&f.counters);
+        }
+        faults.dropped = plane.dropped;
+        faults.duplicated = plane.duplicated;
+        let mut report = self.collector.finish(
+            kind,
+            self.rounds,
+            generated,
+            self.pending,
+            epochs,
+            max_epoch_len,
+            plane.sent,
+            plane.max_message_bytes,
+        );
+        report.faults = faults;
+        (report, self.log)
+    }
 }
 
 /// The simulator's outbox: a send from `from` at `now` on the shared
@@ -183,46 +338,59 @@ impl<M: Clone> Outbox<M> for SimOutbox<'_, M> {
 pub struct NodeSim<N: ProtocolNode> {
     net: Network<N::Msg>,
     pub(crate) nodes: Vec<N>,
+    faults: Vec<ShardFaults>,
     ledgers: Vec<ShardLedger>,
     chains: Vec<LocalChain>,
     policy: Box<dyn Scheduler>,
-    collector: MetricsCollector,
-    committed_log: Vec<(Round, TxnId)>,
+    fold: RoundFold<N>,
     events: Vec<CommitEvent>,
-    samples: Vec<N::Sample>,
     generated: u64,
-    pending: u64,
     now: Round,
 }
 
 impl<N: ProtocolNode> NodeSim<N> {
-    /// One node per shard of `metric`, ledgers seeded from `map`.
+    /// One node per shard of `sys` over `metric`, ledgers seeded from
+    /// `map`, fault-free until [`set_faults`](Self::set_faults).
     pub(crate) fn from_nodes(
+        sys: &SystemConfig,
         metric: &dyn ShardMetric,
         map: &AccountMap,
         initial_balance: u64,
         nodes: Vec<N>,
         policy: Box<dyn Scheduler>,
     ) -> Self {
+        sys.validate().expect("valid system config");
         let s = metric.shards();
+        assert_eq!(s, sys.shards);
         assert_eq!(nodes.len(), s, "one node per shard");
         let mut net = Network::new(metric);
         net.set_sizer(N::msg_bytes);
+        let ids = || (0..s as u32).map(ShardId);
         NodeSim {
             net,
             nodes,
-            ledgers: (0..s)
-                .map(|i| ShardLedger::new(ShardId(i as u32), map, initial_balance))
+            faults: ids().map(|id| ShardFaults::new(id, sys)).collect(),
+            ledgers: ids()
+                .map(|id| ShardLedger::new(id, map, initial_balance))
                 .collect(),
-            chains: (0..s).map(|i| LocalChain::new(ShardId(i as u32))).collect(),
+            chains: ids().map(LocalChain::new).collect(),
             policy,
-            collector: MetricsCollector::new(s),
-            committed_log: Vec::new(),
+            fold: RoundFold::new(s, false),
             events: Vec::new(),
-            samples: Vec::with_capacity(s),
             generated: 0,
-            pending: 0,
             now: Round::ZERO,
+        }
+    }
+
+    /// Arms a fault plan: drops and duplicates on the network, crashes
+    /// and Byzantine voters in the shard rounds. Must be called before
+    /// the first step, like a reshard plan.
+    pub fn set_faults(&mut self, plan: &FaultPlan) {
+        plan.validate(self.nodes.len()).expect("valid fault plan");
+        assert_eq!(self.now, Round::ZERO, "fault plan armed after round 0");
+        self.net.set_faults(plan.clone());
+        for (node, faults) in self.nodes.iter_mut().zip(&mut self.faults) {
+            faults.arm(node, plan);
         }
     }
 
@@ -233,7 +401,7 @@ impl<N: ProtocolNode> NodeSim<N> {
 
     /// Total pending transactions after the last round.
     pub fn total_pending(&self) -> u64 {
-        self.pending
+        self.fold.pending
     }
 
     /// The local blockchains (one per shard).
@@ -248,19 +416,19 @@ impl<N: ProtocolNode> NodeSim<N> {
 
     /// Commit log: (commit round, transaction id) in commit order.
     pub fn committed_log(&self) -> &[(Round, TxnId)] {
-        &self.committed_log
+        &self.fold.log
     }
 
     /// Turns the metrics plane on (percentile histogram, per-shard
     /// utilization, epoch timeline). Off by default; enabling it changes
     /// nothing about scheduling decisions or legacy report bytes.
     pub fn enable_metrics(&mut self) {
-        self.collector.enable_metrics();
+        self.fold.collector.enable_metrics();
     }
 
     /// Executes one round: injects `new_txns` at their home shards, runs
-    /// every node's round on the messages due for it, then records the
-    /// round's decisions and samples.
+    /// every shard's round on the messages due for it, then closes the
+    /// round in the fold.
     pub fn step(&mut self, new_txns: Vec<Transaction>) {
         let now = self.now;
         self.generated += new_txns.len() as u64;
@@ -270,37 +438,29 @@ impl<N: ProtocolNode> NodeSim<N> {
         // Due messages come sorted by (destination, sender, seq): each
         // node takes the run addressed to it, each message moved once.
         let mut due = self.net.deliver_due(now).into_iter();
-        self.samples.clear();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        for (i, (node, faults)) in self.nodes.iter_mut().zip(&mut self.faults).enumerate() {
             let id = ShardId(i as u32);
             let n = due.as_slice().iter().take_while(|e| e.to == id).count();
             let inbox = due.by_ref().take(n).map(|e| (e.from, e.payload));
-            node.on_round(
-                now.raw(),
-                inbox,
-                ShardIo {
-                    ledger: &mut self.ledgers[i],
-                    chain: &mut self.chains[i],
-                    policy: self.policy.as_mut(),
-                    out: &mut SimOutbox {
-                        net: &mut self.net,
-                        from: id,
-                        now,
-                    },
-                    events: &mut self.events,
+            let io = ShardIo {
+                ledger: &mut self.ledgers[i],
+                chain: &mut self.chains[i],
+                policy: self.policy.as_mut(),
+                out: &mut SimOutbox {
+                    net: &mut self.net,
+                    from: id,
+                    now,
                 },
-            );
-            self.samples.push(node.sample(now.raw()));
+                events: &mut self.events,
+            };
+            self.fold
+                .push(shard_round(node, faults, now.raw(), inbox, io));
         }
         debug_assert!(
             due.next().is_none(),
             "message addressed past the last shard"
         );
-        for e in self.events.drain(..) {
-            e.record(&mut self.collector, &mut self.committed_log);
-        }
-        // The simulator is fault-free: no flips, no crashes.
-        self.pending = N::observe(&mut self.collector, &self.samples, 0, 0);
+        self.fold.close(self.events.drain(..));
         self.now = now.next();
     }
 
@@ -308,17 +468,14 @@ impl<N: ProtocolNode> NodeSim<N> {
     /// policy's kind (`BDS`/`FDS` for the coloring policies, the zoo kind
     /// otherwise).
     pub fn finish(self) -> RunReport {
-        let rounds = self.now.raw();
-        let (epochs, max_epoch_len) = epoch_stats(&self.nodes, rounds);
-        self.collector.finish(
-            self.policy.kind(),
-            rounds,
-            self.generated,
-            self.pending,
-            epochs,
-            max_epoch_len,
-            self.net.sent_count(),
-            self.net.max_message_bytes(),
-        )
+        let plane = PlaneTotals {
+            sent: self.net.sent_count(),
+            max_message_bytes: self.net.max_message_bytes(),
+            dropped: self.net.dropped_count(),
+            duplicated: self.net.duplicated_count(),
+        };
+        let shards = self.nodes.iter().zip(&self.faults);
+        let kind = self.policy.kind();
+        self.fold.finish(kind, self.generated, shards, plane).0
     }
 }

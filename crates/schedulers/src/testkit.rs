@@ -150,15 +150,7 @@ pub fn report_fingerprint(r: &RunReport) -> String {
 
 /// The harness's standard small system: 8 shards, one account each.
 pub fn small_system() -> (SystemConfig, AccountMap) {
-    let sys = SystemConfig {
-        shards: 8,
-        accounts: 8,
-        k_max: 3,
-        nodes_per_shard: 4,
-        faulty_per_shard: 1,
-    };
-    let map = AccountMap::round_robin(&sys);
-    (sys, map)
+    wide_system(8)
 }
 
 /// A wider system for the zero-contention oracle workload: enough

@@ -22,8 +22,7 @@ use sharding_core::{Round, ShardId};
 /// Counters of the faults actually injected during one run.
 ///
 /// Surfaces in `RunReport` and in the scenario engine's CSV/JSONL
-/// columns; all zeros for fault-free runs (and for the shared-memory
-/// simulator, which never injects faults).
+/// columns; all zeros for fault-free runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultCounters {
     /// Shard crashes executed (a shard crashing counts once).
@@ -136,11 +135,6 @@ impl FaultPlan {
             .filter(|(s, _)| *s == shard)
             .map(|(_, r)| *r)
             .min()
-    }
-
-    /// Whether `shard` is crashed at round `now`.
-    pub fn crashed(&self, shard: ShardId, now: Round) -> bool {
-        self.crash_round(shard).is_some_and(|r| now >= r)
     }
 
     /// Byzantine voters to inject into one consensus instance of a shard
@@ -320,9 +314,6 @@ mod tests {
         assert!(!plan.is_inert());
         assert_eq!(plan.crash_round(ShardId(1)), Some(Round(20)));
         assert_eq!(plan.crash_round(ShardId(0)), None);
-        assert!(!plan.crashed(ShardId(1), Round(19)));
-        assert!(plan.crashed(ShardId(1), Round(20)));
-        assert!(!plan.crashed(ShardId(0), Round(99)));
     }
 
     #[test]
